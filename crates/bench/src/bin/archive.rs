@@ -5,8 +5,8 @@
 //! cargo run --release -p accpar-bench --bin archive
 //! ```
 
-use accpar_bench::json::Json;
 use accpar_bench::{figure5, figure6, figure7, figure8, geomean, SpeedupRow};
+use accpar_obs::json::Json;
 use std::fs;
 
 fn speedup_rows_json(rows: &[SpeedupRow]) -> Json {

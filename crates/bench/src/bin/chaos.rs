@@ -13,8 +13,8 @@
 //! plan equals a direct replan against the terminal fault set).
 
 use accpar_bench::chaos::{chaos_suite, ChaosRow};
-use accpar_bench::json::Json;
 use accpar_hw::AcceleratorArray;
+use accpar_obs::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

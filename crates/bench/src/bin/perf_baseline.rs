@@ -88,13 +88,13 @@
 //! against the steady-state leg) and the time-to-first-feasible-plan
 //! across a node-budget sweep.
 
-use accpar_bench::json::Json;
 use accpar_core::{
     Budget, CacheOutcome, PlanCache, PlanOutcome, PlannedNetwork, Planner, SearchCache, Strategy,
     SuperviseConfig, Supervisor,
 };
 use accpar_dnn::{zoo, Network};
 use accpar_hw::{AcceleratorArray, FaultModel, GroupTree, HealthEvent, HealthEventKind, HealthSchedule};
+use accpar_obs::json::Json;
 use accpar_obs::{JsonLines, Obs};
 use accpar_runtime::Pool;
 use accpar_sim::{simulate_des, simulate_des_in, DesArena, SimConfig, Simulator};

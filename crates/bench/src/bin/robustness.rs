@@ -9,9 +9,9 @@
 //!
 //! Everything is seeded: the same arguments print byte-identical output.
 
-use accpar_bench::json::Json;
 use accpar_bench::robustness::{robustness_ablation, RobustnessRow, Scenario};
 use accpar_hw::AcceleratorArray;
+use accpar_obs::json::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

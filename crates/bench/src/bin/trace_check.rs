@@ -38,8 +38,8 @@
 //! `strategy` string and an integer `levels`; every
 //! `cache.validate.outcome` event carries a `result` in `hit` / `miss` /
 //! `invalid` / `poisoned` / `disabled` (and, for a hit, a numeric `cost`
-//! plus a boolean `fresh_sim`); `cache.quarantine` / `cache.degraded` /
-//! `cache.demote` payloads are shape-checked; every `serve.shed` event
+//! plus a boolean `fresh_sim`); `cache.quarantine` / `cache.compact` /
+//! `cache.degraded` / `cache.demote` payloads are shape-checked; every `serve.shed` event
 //! carries a `shed_reason` of `queue-full` or `budget-expiry`. With
 //! `--expect-cache-hit`, additionally fails unless the trace holds a
 //! `cache.validate` span, a `cache.validate.outcome` event with
@@ -85,7 +85,7 @@
 //!
 //! Exits non-zero with one message per violation.
 
-use accpar_bench::json::Json;
+use accpar_obs::json::Json;
 use std::collections::{HashMap, HashSet};
 use std::process::ExitCode;
 
@@ -351,6 +351,16 @@ fn main() -> ExitCode {
                         errors.push(format!(
                             "line {no}: cache.quarantine has no integer `bytes`"
                         ));
+                    }
+                }
+                if name == "cache.compact" {
+                    let fields = record.get("fields").cloned().unwrap_or(Json::obj(vec![]));
+                    for field in ["records", "bytes"] {
+                        if id_of(&fields, field).is_none() {
+                            errors.push(format!(
+                                "line {no}: cache.compact has no integer `{field}`"
+                            ));
+                        }
                     }
                 }
                 if name == "cache.degraded" {

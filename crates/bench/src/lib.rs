@@ -14,7 +14,6 @@
 pub mod chaos;
 pub mod experiments;
 pub mod harness;
-pub mod json;
 pub mod render;
 pub mod robustness;
 pub mod svg;

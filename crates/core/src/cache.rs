@@ -14,16 +14,21 @@
 //!   content hash ([`PlanKey`]). Both lanes hash the same value-complete
 //!   byte stream through differently-seeded `FxHasher`s, so an
 //!   accidental single-lane collision cannot alias two requests.
-//! * **Durability** — a sharded in-memory LRU backed by a JSON-lines
-//!   file. Every record carries a per-record FNV-1a checksum over its
-//!   serialized prefix; the file starts with a generation header.
-//!   Writes go through a temp file plus atomic rename, so a crash
-//!   mid-write leaves either the old file or the new file, never a
-//!   torn one.
-//! * **Self-healing** — warm load verifies each record's checksum and
-//!   shape; corrupt or truncated lines are quarantined into a
-//!   `.quarantine` sidecar (for postmortems) instead of failing
-//!   startup.
+//! * **Durability** — a sharded in-memory LRU backed by an append-only
+//!   JSON-lines log. Each record is sealed into one line (with an
+//!   FNV-1a checksum over its serialized prefix) exactly once, at
+//!   insert, and that line is appended; a poisoning [`PlanCache::evict`]
+//!   appends a sealed tombstone. After `cap` appends the log compacts:
+//!   the resident records' stored lines are rewritten under a fresh
+//!   generation header through a temp file plus atomic rename. The
+//!   file therefore holds at most about twice the resident set, and a
+//!   crash leaves at worst one torn line at the tail.
+//! * **Self-healing** — warm load replays the log in order (records
+//!   insert, tombstones remove, the LRU cap applies as it goes), verifies
+//!   each line's checksum and shape, and quarantines corrupt or
+//!   truncated lines into a `.quarantine` sidecar (for postmortems)
+//!   instead of failing startup. It always ends with a compaction, so
+//!   the bad bytes never resurface.
 //! * **Degraded modes** — any persistence I/O error flips the cache to
 //!   memory-only serving with a `cache.degraded` event; it never
 //!   panics and never fails a plan.
@@ -62,7 +67,7 @@ use std::hash::Hasher;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::{fs, io};
 
 /// A stored cost and a freshly simulated cost may differ by at most
@@ -76,8 +81,10 @@ const SHARDS: usize = 8;
 
 /// File-format version of the persistence layer; bumped on any change
 /// to the record schema so older binaries quarantine newer files
-/// instead of misreading them.
-const FORMAT_VERSION: u64 = 1;
+/// instead of misreading them. Version 2 is the append-only log: a
+/// version-1 reader would skip its tombstones and resurrect evicted
+/// records.
+const FORMAT_VERSION: u64 = 2;
 
 /// Seeds priming the two hash lanes of a [`PlanKey`]. Arbitrary odd
 /// constants; all that matters is that they differ, so the two lanes
@@ -397,15 +404,39 @@ fn record_to_line(record: &PlanRecord) -> String {
     ]))
 }
 
-fn record_from_line(line: &str) -> Option<PlanRecord> {
+/// The tombstone a poisoning eviction appends: replaying it removes
+/// `key`, so an evicted record never comes back after a restart.
+fn tombstone_line(key: PlanKey) -> String {
+    seal_line(&Json::obj(vec![("evict", Json::str(key.to_hex()))]))
+}
+
+/// One verified line of the log body.
+#[derive(Debug, PartialEq)]
+enum LogLine {
+    Record(PlanRecord),
+    Tombstone(PlanKey),
+}
+
+fn parse_log_line(line: &str) -> Option<LogLine> {
     let j = open_line(line)?;
-    Some(PlanRecord {
+    if let Some(key) = j.get("evict") {
+        return PlanKey::from_hex(key.as_str()?).map(LogLine::Tombstone);
+    }
+    Some(LogLine::Record(PlanRecord {
         key: PlanKey::from_hex(j.get("key")?.as_str()?)?,
         strategy: strategy_from_label(j.get("strategy")?.as_str()?)?,
         levels: j.get("levels")?.as_f64()? as usize,
         cost: f64_from_bits_hex(j.get("cost")?)?,
         plan: plan_from_json(j.get("plan")?)?,
-    })
+    }))
+}
+
+/// A sealed line as the log stores it: newline-terminated and shared,
+/// so compaction copies bytes instead of re-serializing.
+fn log_line(sealed: String) -> Arc<str> {
+    let mut line = sealed;
+    line.push('\n');
+    Arc::from(line)
 }
 
 fn header_line(generation: u64) -> String {
@@ -464,11 +495,27 @@ struct Entry {
     /// record loaded from disk starts unverified and pays the full
     /// cross-check on its first serve.
     verified: Option<SimReport>,
+    /// The record's sealed log line, rendered once when it was inserted
+    /// (or read at warm load) and copied verbatim by every compaction.
+    /// `None` in a memory-only cache.
+    line: Option<Arc<str>>,
 }
 
 #[derive(Debug, Default)]
 struct Shard {
     map: FxHashMap<PlanKey, Entry>,
+}
+
+/// The append side of the persistence log. Lock order: the log lock
+/// first, then shard locks — never the log lock while a shard lock is
+/// held.
+#[derive(Debug, Default)]
+struct Log {
+    /// Append handle on the live file; `None` until the warm load's
+    /// compaction opens it, and again after an I/O degrade.
+    handle: Option<fs::File>,
+    /// Lines appended since the last compaction.
+    appended: usize,
 }
 
 /// What a warm load found on disk.
@@ -490,6 +537,7 @@ pub struct PlanCache {
     generation: AtomicU64,
     /// Persistence target; `None` for a memory-only cache.
     file: Option<PathBuf>,
+    log: Mutex<Log>,
     /// Cleared on the first I/O error: the cache keeps serving from
     /// memory and stops touching the disk.
     persist_ok: AtomicBool,
@@ -525,6 +573,7 @@ impl PlanCache {
             clock: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             file: None,
+            log: Mutex::new(Log::default()),
             persist_ok: AtomicBool::new(true),
             load_report: LoadReport::default(),
             obs: Obs::off(),
@@ -558,9 +607,10 @@ impl PlanCache {
 
     /// Attaches an observability handle after construction (counters
     /// `cache.hit` / `cache.miss` / `cache.evict` / `cache.quarantine` /
-    /// `cache.demote` / `cache.poisoned` / `cache.degraded` and the
-    /// degrade/quarantine events). [`PlanCache::open`] takes the handle
-    /// directly; this serves memory-only caches.
+    /// `cache.demote` / `cache.poisoned` / `cache.degraded` /
+    /// `cache.compact` and the degrade/quarantine/compact events).
+    /// [`PlanCache::open`] takes the handle directly; this serves
+    /// memory-only caches.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -573,9 +623,9 @@ impl PlanCache {
         self.load_report
     }
 
-    /// The persistence generation: how many times the file has been
-    /// rewritten over its lifetime (carried across restarts by the file
-    /// header).
+    /// The persistence generation: how many times the log has been
+    /// compacted over its lifetime, warm loads included (carried across
+    /// restarts by the file header).
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
@@ -672,9 +722,10 @@ impl PlanCache {
             .collect()
     }
 
-    /// Inserts (or replaces) a record and writes the file through when
-    /// persistence is healthy. LRU pressure evicts the stalest entry of
-    /// the record's shard once the shard exceeds its slice of the cap.
+    /// Inserts (or replaces) a record and appends its sealed line to the
+    /// log when persistence is healthy. LRU pressure evicts the stalest
+    /// entry of the record's shard once the shard exceeds its slice of
+    /// the cap.
     /// The record starts *unverified*: its first serve pays the full
     /// BSP cross-check ([`PlanCache::insert_verified`] skips that for
     /// records whose report the caller just computed).
@@ -699,40 +750,80 @@ impl PlanCache {
     }
 
     fn insert_entry(&self, record: PlanRecord, verified: Option<SimReport>) {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let key = record.key;
-        let shard_cap = self.cap.div_ceil(SHARDS).max(1);
-        {
-            let mut shard = lock_unpoisoned(self.shard(&key));
-            shard.map.insert(
-                key,
-                Entry {
-                    record,
-                    tick,
-                    verified,
-                },
-            );
-            while shard.map.len() > shard_cap {
-                let stalest = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.tick)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty shard has a minimum");
-                shard.map.remove(&stalest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                if self.obs.enabled() {
-                    self.obs.counter("cache.evict").inc();
-                }
+        // Serialization happens here, outside every lock, and only when
+        // the line has somewhere to go.
+        let line = self.persistent().then(|| log_line(record_to_line(&record)));
+        let evicted = match &line {
+            Some(line) => {
+                // The tick is drawn under the log lock so that append
+                // order is LRU order: replaying the log rebuilds the
+                // same resident set.
+                let mut log = lock_unpoisoned(&self.log);
+                let evicted = self.admit(record, verified, Some(Arc::clone(line)));
+                self.append(&mut log, line);
+                evicted
+            }
+            None => self.admit(record, verified, None),
+        };
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            if self.obs.enabled() {
+                self.obs.counter("cache.evict").add(evicted);
             }
         }
-        self.persist();
     }
 
-    /// Removes a record (poisoning eviction). Returns whether it was
+    /// Puts a record into its shard with a fresh LRU tick and evicts the
+    /// shard's stalest entries beyond its slice of the cap. Returns how
+    /// many were evicted.
+    fn admit(
+        &self,
+        record: PlanRecord,
+        verified: Option<SimReport>,
+        line: Option<Arc<str>>,
+    ) -> u64 {
+        let shard_cap = self.cap.div_ceil(SHARDS).max(1);
+        let mut shard = lock_unpoisoned(self.shard(&record.key));
+        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        shard.map.insert(
+            record.key,
+            Entry {
+                record,
+                tick,
+                verified,
+                line,
+            },
+        );
+        let mut evicted = 0;
+        while shard.map.len() > shard_cap {
+            let stalest = shard
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.tick)
+                .map(|(k, _)| *k)
+                .expect("non-empty shard has a minimum");
+            shard.map.remove(&stalest);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Removes a record (poisoning eviction) and appends a tombstone so
+    /// the record stays gone after a restart. Returns whether it was
     /// present.
     pub fn evict(&self, key: &PlanKey) -> bool {
-        let removed = lock_unpoisoned(self.shard(key)).map.remove(key).is_some();
+        let remove = || lock_unpoisoned(self.shard(key)).map.remove(key).is_some();
+        let removed = if self.persistent() {
+            let tombstone = log_line(tombstone_line(*key));
+            let mut log = lock_unpoisoned(&self.log);
+            let removed = remove();
+            if removed {
+                self.append(&mut log, &tombstone);
+            }
+            removed
+        } else {
+            remove()
+        };
         if removed {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             self.poisoned.fetch_add(1, Ordering::Relaxed);
@@ -740,7 +831,6 @@ impl PlanCache {
                 self.obs.counter("cache.evict").inc();
                 self.obs.counter("cache.poisoned").inc();
             }
-            self.persist();
         }
         removed
     }
@@ -801,24 +891,22 @@ impl PlanCache {
         let sidecar = file.with_extension("jsonl.quarantine");
         let text = match fs::read_to_string(&file) {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
             Err(e) => {
                 self.degrade("read cache file", &e);
                 return;
             }
         };
         let mut quarantined = 0usize;
-        let mut loaded = 0usize;
         let mut lines = text.split_inclusive('\n');
-        match lines.next() {
-            None => {}
-            Some(header) => match header.strip_suffix('\n').and_then(header_generation) {
+        if let Some(header) = lines.next() {
+            match header.strip_suffix('\n').and_then(header_generation) {
                 Some(generation) => {
                     self.generation.store(generation, Ordering::Relaxed);
                     for raw in lines {
                         let Some(line) = raw.strip_suffix('\n') else {
                             // Truncated tail: the crash interrupted this
-                            // write mid-line.
+                            // append mid-line.
                             self.quarantine_line(&sidecar, raw, "truncated-tail");
                             quarantined += 1;
                             continue;
@@ -826,18 +914,14 @@ impl PlanCache {
                         if line.is_empty() {
                             continue;
                         }
-                        match record_from_line(line) {
-                            Some(record) => {
-                                let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                                lock_unpoisoned(self.shard(&record.key)).map.insert(
-                                    record.key,
-                                    Entry {
-                                        record,
-                                        tick,
-                                        verified: None,
-                                    },
-                                );
-                                loaded += 1;
+                        // Replay in log order: later lines win, and each
+                        // shard's LRU cap applies as it goes.
+                        match parse_log_line(line) {
+                            Some(LogLine::Record(record)) => {
+                                self.admit(record, None, Some(Arc::from(raw)));
+                            }
+                            Some(LogLine::Tombstone(key)) => {
+                                lock_unpoisoned(self.shard(&key)).map.remove(&key);
                             }
                             None => {
                                 self.quarantine_line(&sidecar, line, "checksum-or-schema");
@@ -852,37 +936,86 @@ impl PlanCache {
                     self.quarantine_line(&sidecar, text.trim_end_matches('\n'), "bad-header");
                     quarantined += 1;
                 }
-            },
+            }
         }
-        self.load_report = LoadReport { loaded, quarantined };
-        if quarantined > 0 {
-            // Rewrite immediately so the bad bytes cannot resurface.
-            self.persist();
+        self.load_report = LoadReport {
+            loaded: self.len(),
+            quarantined,
+        };
+        // Rewriting the replayed set drops torn tails, tombstones and
+        // superseded lines, and opens the append handle.
+        self.compact(&mut lock_unpoisoned(&self.log));
+    }
+
+    /// Appends one sealed line; compacts once `cap` lines have been
+    /// appended since the last compaction. Called with the log lock
+    /// held and no shard lock.
+    fn append(&self, log: &mut Log, line: &str) {
+        let Some(handle) = log.handle.as_mut() else {
+            return;
+        };
+        if let Err(e) = handle.write_all(line.as_bytes()) {
+            log.handle = None;
+            self.degrade("append cache log", &e);
+            return;
+        }
+        log.appended += 1;
+        if log.appended >= self.cap {
+            self.compact(log);
         }
     }
 
-    /// Writes the full snapshot through temp-file + atomic rename.
-    /// Called with no shard lock held; concurrent persists may
-    /// interleave, but each writes a complete, checksummed snapshot, so
-    /// the file is always wholly one generation.
-    fn persist(&self) {
+    /// Rewrites the log as a fresh generation header plus the resident
+    /// records' stored lines in LRU order, through temp file plus
+    /// atomic rename; the temp file's handle becomes the append handle.
+    /// Nothing is re-serialized. Called with the log lock held and no
+    /// shard lock, so no append can interleave: a crash leaves either
+    /// the old log or the new one.
+    fn compact(&self, log: &mut Log) {
+        log.handle = None;
         let Some(file) = &self.file else { return };
         if !self.persist_ok.load(Ordering::Relaxed) {
             return;
         }
-        let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut out = header_line(generation);
-        out.push('\n');
+        let mut resident: Vec<(u64, Arc<str>)> = Vec::new();
         for shard in &self.shards {
-            for entry in lock_unpoisoned(shard).map.values() {
-                out.push_str(&record_to_line(&entry.record));
-                out.push('\n');
-            }
+            resident.extend(
+                lock_unpoisoned(shard)
+                    .map
+                    .values()
+                    .filter_map(|e| Some((e.tick, Arc::clone(e.line.as_ref()?)))),
+            );
         }
+        resident.sort_unstable_by_key(|&(tick, _)| tick);
+        let generation = self.generation.load(Ordering::Relaxed) + 1;
+        let mut header = header_line(generation);
+        header.push('\n');
+        let bytes = header.len() + resident.iter().map(|(_, line)| line.len()).sum::<usize>();
         let tmp = file.with_extension("jsonl.tmp");
-        let result = fs::write(&tmp, out.as_bytes()).and_then(|()| fs::rename(&tmp, file));
-        if let Err(e) = result {
-            self.degrade("persist cache file", &e);
+        let result = fs::File::create(&tmp).and_then(|handle| {
+            let mut out = io::BufWriter::new(handle);
+            out.write_all(header.as_bytes())?;
+            for (_, line) in &resident {
+                out.write_all(line.as_bytes())?;
+            }
+            let handle = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+            fs::rename(&tmp, file)?;
+            Ok(handle)
+        });
+        match result {
+            Ok(handle) => {
+                log.handle = Some(handle);
+                log.appended = 0;
+                self.generation.store(generation, Ordering::Relaxed);
+                if self.obs.enabled() {
+                    self.obs.counter("cache.compact").inc();
+                    self.obs.event(
+                        "cache.compact",
+                        &[("records", resident.len().into()), ("bytes", bytes.into())],
+                    );
+                }
+            }
+            Err(e) => self.degrade("compact cache log", &e),
         }
     }
 }
@@ -912,28 +1045,37 @@ mod tests {
         let r = record(7, 1.234e-3_f64 + f64::EPSILON);
         let line = record_to_line(&r);
         assert!(!line.contains('\n'));
-        let back = record_from_line(&line).unwrap();
+        let Some(LogLine::Record(back)) = parse_log_line(&line) else {
+            panic!("a sealed record parses back as a record");
+        };
         assert_eq!(back, r);
         assert_eq!(back.cost.to_bits(), r.cost.to_bits());
+        let tombstone = tombstone_line(r.key);
+        assert_eq!(parse_log_line(&tombstone), Some(LogLine::Tombstone(r.key)));
     }
 
     #[test]
     fn any_tampered_byte_is_rejected() {
-        let line = record_to_line(&record(9, 0.5));
-        for i in 0..line.len() {
-            let mut bytes = line.clone().into_bytes();
-            bytes[i] ^= 0x01;
-            let Ok(s) = String::from_utf8(bytes) else {
-                continue;
-            };
-            if s == line {
-                continue;
-            }
-            // Either the checksum rejects the line, or (for a flip
-            // inside the stored crc that still mismatches) it parses to
-            // nothing — never to a *different* record.
-            if let Some(r) = record_from_line(&s) {
-                assert_eq!(r, record(9, 0.5), "flip at byte {i} changed the record");
+        let r = record(9, 0.5);
+        for (line, truth) in [
+            (record_to_line(&r), LogLine::Record(r.clone())),
+            (tombstone_line(r.key), LogLine::Tombstone(r.key)),
+        ] {
+            for i in 0..line.len() {
+                let mut bytes = line.clone().into_bytes();
+                bytes[i] ^= 0x01;
+                let Ok(s) = String::from_utf8(bytes) else {
+                    continue;
+                };
+                if s == line {
+                    continue;
+                }
+                // Either the checksum rejects the line, or (for a flip
+                // inside the stored crc that still mismatches) it parses
+                // to nothing — never to a *different* record or key.
+                if let Some(parsed) = parse_log_line(&s) {
+                    assert_eq!(parsed, truth, "flip at byte {i} changed the line");
+                }
             }
         }
     }
@@ -942,7 +1084,7 @@ mod tests {
     fn header_round_trips_and_rejects_wrong_version() {
         let line = header_line(17);
         assert_eq!(header_generation(&line), Some(17));
-        let forged = line.replace("\"version\":1", "\"version\":2");
+        let forged = line.replace("\"version\":2", "\"version\":1");
         assert_eq!(header_generation(&forged), None);
     }
 
@@ -1036,5 +1178,8 @@ mod tests {
         cache.insert(record(5, 0.1));
         assert!(cache.peek(&record(5, 0.1).key).is_some());
         assert!(cache.stats().io_errors >= 1);
+        // With nowhere to write, nothing is serialized.
+        let shard = lock_unpoisoned(cache.shard(&record(5, 0.1).key));
+        assert!(shard.map.values().all(|e| e.line.is_none()));
     }
 }

@@ -4,9 +4,8 @@
 //! serialization crate this small value tree, pretty/compact printers,
 //! and recursive-descent parser live here, next to the JSON-lines
 //! subscriber whose output they speak. Users: the bench harness's
-//! archival output and the `trace_check` validator (via the
-//! `accpar_bench::json` re-export), and the persistent plan cache's
-//! record codec in `accpar-core`.
+//! archival output and the `trace_check` validator, and the
+//! persistent plan cache's record codec in `accpar-core`.
 
 use std::fmt::Write as _;
 

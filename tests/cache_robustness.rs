@@ -2,14 +2,18 @@
 //! detected or harmless (never a wrong plan), a crash mid-write
 //! recovers by quarantining the torn tail, degraded hardware demotes
 //! hits to replans, and persistence I/O failure degrades to
-//! memory-only serving — never a panic, never a startup failure.
+//! memory-only serving — never a panic, never a startup failure. The
+//! append-only log replays tombstones, survives a torn append at any
+//! byte, stays bounded by compaction, and takes concurrent inserts.
 
 use accpar::prelude::*;
-use accpar_core::cache::POISON_TOLERANCE;
-use accpar_core::{PlanCache, PlanRecord};
+use accpar_core::cache::{plan_key, POISON_TOLERANCE};
+use accpar_core::{LoadReport, PlanCache, PlanRecord};
+use accpar_obs::Value;
+use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
 
 mod common;
 
@@ -27,6 +31,48 @@ fn cache_dir(tag: &str) -> PathBuf {
     ));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// `n` records with distinct keys — fingerprints of LeNet at hierarchy
+/// depths `0..n` — for driving the log directly, without planning.
+/// Record `i` stores cost `i`.
+fn distinct_records(n: usize) -> Vec<PlanRecord> {
+    let (network, array) = setup();
+    let view = network.train_view().expect("lenet lowers");
+    let plan = PlanTree::uniform(&[NetworkPlan::uniform(
+        3,
+        LayerPlan::new(PartitionType::TypeII, Ratio::clamped(0.375)),
+    )]);
+    (0..n)
+        .map(|i| PlanRecord {
+            key: plan_key(
+                &view,
+                &array,
+                Strategy::AccPar,
+                i,
+                &CostConfig::default(),
+                &RatioSolver::default(),
+                &SimConfig::default(),
+                &Budget::unlimited(),
+            ),
+            strategy: Strategy::AccPar,
+            levels: 1,
+            cost: i as f64,
+            plan: plan.clone(),
+        })
+        .collect()
+}
+
+/// The resident key set, as sortable hex strings.
+fn key_set(cache: &PlanCache) -> BTreeSet<String> {
+    cache.records().iter().map(|r| r.key.to_hex()).collect()
+}
+
+fn log_lines(dir: &Path) -> usize {
+    fs::read_to_string(dir.join("plans.jsonl"))
+        .expect("log file exists")
+        .lines()
+        .count()
 }
 
 fn serve_with_cache(
@@ -310,4 +356,150 @@ fn io_failure_degrades_to_memory_only_serving() {
     assert_eq!(cache.stats().hits, 1, "memory-only serving still caches");
     assert!(cache.stats().io_errors >= 1);
     assert_eq!(first.plan(), second.plan());
+}
+
+/// Concurrent misses used to race on one shared temp file, and a lost
+/// `rename` silently turned the cache memory-only. Appends serialize on
+/// the log lock instead, and the replayed log rebuilds exactly the
+/// resident set.
+#[test]
+fn concurrent_inserts_stay_persistent_and_replay_exactly() {
+    let dir = cache_dir("concurrent");
+    let records = distinct_records(800);
+    let cache = PlanCache::open(&dir, 16, Obs::off());
+    let barrier = Barrier::new(4);
+    std::thread::scope(|s| {
+        for chunk in records.chunks(200) {
+            let (cache, barrier) = (&cache, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                for record in chunk {
+                    cache.insert(record.clone());
+                }
+            });
+        }
+    });
+    assert!(cache.persistent());
+    assert_eq!(cache.stats().io_errors, 0);
+    let resident = key_set(&cache);
+    drop(cache);
+    let reopened = PlanCache::open(&dir, 16, Obs::off());
+    assert_eq!(reopened.load_report().quarantined, 0);
+    assert_eq!(key_set(&reopened), resident);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn evicted_record_stays_gone_after_restart() {
+    let dir = cache_dir("tombstone");
+    let records = distinct_records(3);
+    {
+        let cache = PlanCache::open(&dir, 64, Obs::off());
+        for record in &records {
+            cache.insert(record.clone());
+        }
+        assert!(cache.evict(&records[1].key));
+        // Header, three records and the tombstone: nothing compacted.
+        assert_eq!(log_lines(&dir), 5);
+    }
+    let reopened = PlanCache::open(&dir, 64, Obs::off());
+    assert_eq!(reopened.load_report(), LoadReport { loaded: 2, quarantined: 0 });
+    assert!(reopened.peek(&records[1].key).is_none(), "tombstone replayed");
+    assert_eq!(reopened.peek(&records[2].key).as_ref(), Some(&records[2]));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash can tear only the line being appended: cut the log at every
+/// byte inside its last line and every earlier record still loads.
+#[test]
+fn torn_append_at_any_byte_loses_only_that_line() {
+    let dir = cache_dir("torn");
+    let records = distinct_records(4);
+    {
+        let cache = PlanCache::open(&dir, 64, Obs::off());
+        for record in &records {
+            cache.insert(record.clone());
+        }
+    }
+    let file = dir.join("plans.jsonl");
+    let pristine = fs::read(&file).expect("log file exists");
+    let last_start = pristine[..pristine.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("a header precedes the records")
+        + 1;
+    // From one byte of the last line up to all of it but its newline.
+    for cut in last_start + 1..pristine.len() {
+        fs::write(&file, &pristine[..cut]).unwrap();
+        let torn = PlanCache::open(&dir, 64, Obs::off());
+        assert_eq!(
+            torn.load_report(),
+            LoadReport { loaded: 3, quarantined: 1 },
+            "cut at byte {cut}"
+        );
+        for record in &records[..3] {
+            assert_eq!(torn.peek(&record.key).as_ref(), Some(record), "cut at byte {cut}");
+        }
+        drop(torn);
+        let healed = PlanCache::open(&dir, 64, Obs::off());
+        assert_eq!(
+            healed.load_report(),
+            LoadReport { loaded: 3, quarantined: 0 },
+            "cut at byte {cut}: the warm load's compaction heals the file"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compaction_bounds_the_log_and_keeps_the_newest_records() {
+    let cap = 16;
+    let dir = cache_dir("compact");
+    let records = distinct_records(10 * cap);
+    let cache = PlanCache::open(&dir, cap, Obs::off());
+    let mut longest = 0;
+    for record in &records {
+        cache.insert(record.clone());
+        longest = longest.max(log_lines(&dir));
+    }
+    assert!(longest <= 2 * cap + 1, "log grew to {longest} lines");
+    assert!(cache.generation() >= 10, "compacted {} times", cache.generation());
+    let resident = key_set(&cache);
+    drop(cache);
+    let reopened = PlanCache::open(&dir, cap, Obs::off());
+    assert!(reopened.len() <= cap);
+    assert_eq!(key_set(&reopened), resident, "replay keeps the LRU's choice");
+    let newest = records.last().expect("records inserted");
+    assert_eq!(reopened.peek(&newest.key).as_ref(), Some(newest));
+    for stale in &records[..2 * cap] {
+        assert!(reopened.peek(&stale.key).is_none(), "an old record came back");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every compaction reports what it wrote: a `cache.compact` counter
+/// and an event whose integer `records` and `bytes` describe the new
+/// log.
+#[test]
+fn compaction_is_counted_and_described() {
+    let cap = 4;
+    let dir = cache_dir("compact-obs");
+    let collector = Arc::new(Collector::new());
+    let obs = Obs::new(Arc::clone(&collector));
+    let cache = PlanCache::open(&dir, cap, obs.clone());
+    for record in distinct_records(cap) {
+        cache.insert(record);
+    }
+    // One compaction closes the warm load, one follows `cap` appends.
+    let events = collector.events_named("cache.compact");
+    assert_eq!(events.len(), 2);
+    let field = |name: &str| {
+        events[1].fields.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone())
+    };
+    let bytes = fs::metadata(dir.join("plans.jsonl")).expect("log file exists").len();
+    assert_eq!(field("records"), Some(Value::U64(cache.len() as u64)));
+    assert_eq!(field("bytes"), Some(Value::U64(bytes)));
+    let metrics = obs.metrics().expect("an active handle records metrics");
+    assert_eq!(metrics.snapshot().counter("cache.compact"), 2);
+    let _ = fs::remove_dir_all(&dir);
 }
