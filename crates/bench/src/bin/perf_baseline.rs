@@ -343,11 +343,12 @@ fn main() -> ExitCode {
             .max_nodes(u64::MAX / 2)
     };
     let armed_outcome = anytime_planner
-        .plan_with_budget(Strategy::AccPar, &armed())
-        .expect("armed plan");
+        .plan_with_budget_cached(Strategy::AccPar, &armed())
+        .expect("armed plan")
+        .0;
     let armed_ms = time_best_ms(reps, || {
         anytime_planner
-            .plan_with_budget(Strategy::AccPar, &armed())
+            .plan_with_budget_cached(Strategy::AccPar, &armed())
             .expect("armed plan")
     });
     let armed_identical = armed_outcome.is_complete()
@@ -386,8 +387,8 @@ fn main() -> ExitCode {
             .caching(false).build().unwrap();
         let mut completeness = 0.0;
         let ttfp_ms = time_best_ms(reps, || {
-            let outcome = sweep_planner
-                .plan_with_budget(Strategy::AccPar, &Budget::unlimited().max_nodes(nodes))
+            let (outcome, _) = sweep_planner
+                .plan_with_budget_cached(Strategy::AccPar, &Budget::unlimited().max_nodes(nodes))
                 .expect("anytime plan");
             completeness = outcome.completeness();
             outcome
@@ -593,7 +594,7 @@ fn main() -> ExitCode {
         // would otherwise dilute the collapse into the noise.
         let deep_view = net.train_view().expect("train view");
         let search_deep = |collapse: bool| {
-            accpar_core::hierarchy::plan_node_with(
+            accpar_core::hierarchy::plan_node_budgeted(
                 &deep_view,
                 iso_tree.root(),
                 &iso_model,
@@ -601,8 +602,12 @@ fn main() -> ExitCode {
                 None,
                 Pool::new(threads),
                 None,
+                &Obs::off(),
+                None,
+                &Budget::unlimited(),
             )
             .expect("deep stack search")
+            .0
             .expect("the bisected tree has levels")
         };
         iso_identical &= search_deep(true) == search_deep(false);
@@ -824,8 +829,9 @@ fn main() -> ExitCode {
             .obs(obs.clone())
             .build()
             .expect("vgg16 configures cleanly")
-            .plan_with_budget(Strategy::AccPar, &Budget::unlimited().max_nodes(vgg_rows))
-            .expect("anytime plan");
+            .plan_with_budget_cached(Strategy::AccPar, &Budget::unlimited().max_nodes(vgg_rows))
+            .expect("anytime plan")
+            .0;
         obs.emit_metrics();
         subscriber.flush();
         let PlanOutcome::Partial(partial) = outcome else {

@@ -98,7 +98,8 @@ impl Progress {
     }
 }
 
-/// Recursively plans every bisection level below `node`.
+/// Recursively plans every bisection level below `node`, serially,
+/// without a memo or a budget.
 ///
 /// Returns `None` when `node` is a leaf (nothing to bisect). The
 /// `scales` argument carries the per-layer shard scales accumulated from
@@ -114,71 +115,35 @@ pub fn plan_node(
     config: &SearchConfig,
     scales: Option<&[ShardScales]>,
 ) -> Result<Option<PlanTree>, PlanError> {
-    plan_node_with(view, node, model, config, scales, Pool::serial(), None)
-}
-
-/// Like [`plan_node`], with a thread budget for the independent
-/// left/right child recursions (split between them) and an optional
-/// shared [`SearchCache`] memoizing cost cells, block transfer tables
-/// and whole level outcomes across the tree.
-///
-/// With a serial pool and no cache this is exactly [`plan_node`]; with
-/// either enabled the resulting [`PlanTree`] is bit-identical — the
-/// cache keys canonicalize every `f64` input and the recursion order
-/// does not influence any level's search.
-///
-/// # Errors
-///
-/// Propagates [`PlanError::EmptySearchSpace`] from the level searcher.
-pub fn plan_node_with(
-    view: &TrainView,
-    node: &GroupNode,
-    model: &CostModel,
-    config: &SearchConfig,
-    scales: Option<&[ShardScales]>,
-    pool: Pool,
-    cache: Option<&SearchCache>,
-) -> Result<Option<PlanTree>, PlanError> {
-    plan_node_traced(view, node, model, config, scales, pool, cache, &Obs::off(), None)
-}
-
-/// Like [`plan_node_with`], emitting one `plan.level` span per
-/// bisection level (nested under `parent`) and feeding the
-/// `planner.level_search_ns` histogram on every level that actually
-/// searches. With a disabled [`Obs`] this is exactly
-/// [`plan_node_with`]: instrumentation never influences the plan.
-///
-/// # Errors
-///
-/// Propagates [`PlanError::EmptySearchSpace`] from the level searcher.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_node_traced(
-    view: &TrainView,
-    node: &GroupNode,
-    model: &CostModel,
-    config: &SearchConfig,
-    scales: Option<&[ShardScales]>,
-    pool: Pool,
-    cache: Option<&SearchCache>,
-    obs: &Obs,
-    parent: Option<u64>,
-) -> Result<Option<PlanTree>, PlanError> {
     plan_node_budgeted(
         view,
         node,
         model,
         config,
         scales,
-        pool,
-        cache,
-        obs,
-        parent,
+        Pool::serial(),
+        None,
+        &Obs::off(),
+        None,
         &Budget::unlimited(),
     )
     .map(|(tree, _)| tree)
 }
 
-/// Like [`plan_node_traced`], under a cooperative [`Budget`].
+/// Like [`plan_node`], with a thread budget for the independent
+/// left/right child recursions (split between them), an optional shared
+/// [`SearchCache`] memoizing cost cells, block transfer tables and whole
+/// level outcomes across the tree, one `plan.level` span per bisection
+/// level (nested under `parent`, feeding the `planner.level_search_ns`
+/// histogram on every level that actually searches), and a cooperative
+/// [`Budget`].
+///
+/// With a serial pool, no cache and an unlimited budget this is exactly
+/// [`plan_node`]; with either the pool or the cache enabled the
+/// resulting [`PlanTree`] is bit-identical — the cache keys canonicalize
+/// every `f64` input and the recursion order does not influence any
+/// level's search. A disabled [`Obs`] changes nothing: instrumentation
+/// never influences the plan.
 ///
 /// Every level charges one budget node per layer row (memo hits charge
 /// the same amount, so budget semantics are cache-independent). When

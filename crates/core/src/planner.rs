@@ -227,6 +227,28 @@ fn default_levels(array: &AcceleratorArray) -> usize {
     (usize::BITS as usize - 1 - boards.leading_zeros() as usize).max(1)
 }
 
+/// Every knob a [`PlannerBuilder`] sets; the built [`Planner`] keeps it.
+#[derive(Debug, Clone)]
+struct Settings {
+    levels: Option<usize>,
+    cost_config: CostConfig,
+    solver: RatioSolver,
+    sim_config: SimConfig,
+    threads: Option<usize>,
+    caching: bool,
+    iso: bool,
+    /// Shared across planner clones so replans reuse the planning
+    /// run's memo.
+    cache: Arc<SearchCache>,
+    /// Whole-plan serving cache (see [`crate::cache`]); absent by
+    /// default.
+    plan_cache: Option<Arc<PlanCache>>,
+    obs: Obs,
+    deadline: Option<Duration>,
+    max_nodes: Option<u64>,
+    cancel: Option<CancelToken>,
+}
+
 /// Configures and validates a [`Planner`] — the single way to build
 /// one (see [`Planner::builder`]).
 ///
@@ -246,9 +268,8 @@ fn default_levels(array: &AcceleratorArray) -> usize {
 /// let array = AcceleratorArray::heterogeneous_tpu(2, 2);
 /// let planned = Planner::builder(&network, &array)
 ///     .levels(2)
-///     .strategy(Strategy::Owt)
 ///     .build()?
-///     .run()?;
+///     .plan(Strategy::Owt)?;
 /// assert_eq!(planned.plan().depth(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -256,58 +277,35 @@ fn default_levels(array: &AcceleratorArray) -> usize {
 pub struct PlannerBuilder<'a> {
     network: &'a Network,
     array: &'a AcceleratorArray,
-    strategy: Strategy,
-    levels: Option<usize>,
-    cost_config: CostConfig,
-    solver: RatioSolver,
-    sim_config: SimConfig,
-    threads: Option<usize>,
-    caching: bool,
-    iso: bool,
-    cache: Option<Arc<SearchCache>>,
-    plan_cache: Option<Arc<PlanCache>>,
-    memory_cap: Option<Optimizer>,
-    obs: Obs,
-    deadline: Option<Duration>,
-    max_nodes: Option<u64>,
-    cancel: Option<CancelToken>,
+    settings: Settings,
 }
 
 impl<'a> PlannerBuilder<'a> {
     /// Starts a builder over a network and an array with default knobs:
-    /// AccPar strategy, bisection to single boards, default cost model
-    /// and solver, cost-model-aligned simulator, environment-derived
-    /// thread budget, caching on, no memory cap, inert observability.
+    /// bisection to single boards, default cost model and solver,
+    /// cost-model-aligned simulator, environment-derived thread budget,
+    /// caching on, unlimited budget, inert observability.
     #[must_use]
     pub fn new(network: &'a Network, array: &'a AcceleratorArray) -> Self {
         Self {
             network,
             array,
-            strategy: Strategy::AccPar,
-            levels: None,
-            cost_config: CostConfig::default(),
-            solver: RatioSolver::default(),
-            sim_config: SimConfig::cost_model_aligned(),
-            threads: None,
-            caching: true,
-            iso: true,
-            cache: None,
-            plan_cache: None,
-            memory_cap: None,
-            obs: Obs::off(),
-            deadline: None,
-            max_nodes: None,
-            cancel: None,
+            settings: Settings {
+                levels: None,
+                cost_config: CostConfig::default(),
+                solver: RatioSolver::default(),
+                sim_config: SimConfig::cost_model_aligned(),
+                threads: None,
+                caching: true,
+                iso: true,
+                cache: Arc::default(),
+                plan_cache: None,
+                obs: Obs::off(),
+                deadline: None,
+                max_nodes: None,
+                cancel: None,
+            },
         }
-    }
-
-    /// The strategy [`Planner::run`] executes (default:
-    /// [`Strategy::AccPar`]). [`Planner::plan`] can still plan any
-    /// strategy regardless of this choice.
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Hierarchy depth (default: bisect down to single boards, i.e.
@@ -315,21 +313,21 @@ impl<'a> PlannerBuilder<'a> {
     /// [`build`](PlannerBuilder::build).
     #[must_use]
     pub fn levels(mut self, levels: usize) -> Self {
-        self.levels = Some(levels);
+        self.settings.levels = Some(levels);
         self
     }
 
     /// Cost-model configuration used by the AccPar search.
     #[must_use]
     pub fn cost_config(mut self, config: CostConfig) -> Self {
-        self.cost_config = config;
+        self.settings.cost_config = config;
         self
     }
 
     /// Ratio solver used by the AccPar search.
     #[must_use]
     pub fn solver(mut self, solver: RatioSolver) -> Self {
-        self.solver = solver;
+        self.settings.solver = solver;
         self
     }
 
@@ -337,7 +335,7 @@ impl<'a> PlannerBuilder<'a> {
     /// [`PlannedNetwork::modeled_cost`].
     #[must_use]
     pub fn sim_config(mut self, config: SimConfig) -> Self {
-        self.sim_config = config;
+        self.settings.sim_config = config;
         self
     }
 
@@ -347,7 +345,7 @@ impl<'a> PlannerBuilder<'a> {
     /// budget.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.settings.threads = Some(threads);
         self
     }
 
@@ -356,7 +354,7 @@ impl<'a> PlannerBuilder<'a> {
     /// tables and whole levels are recomputed.
     #[must_use]
     pub fn caching(mut self, caching: bool) -> Self {
-        self.caching = caching;
+        self.settings.caching = caching;
         self
     }
 
@@ -365,7 +363,7 @@ impl<'a> PlannerBuilder<'a> {
     /// evaluation context, so sharing is always sound.
     #[must_use]
     pub fn cache(mut self, cache: Arc<SearchCache>) -> Self {
-        self.cache = Some(cache);
+        self.settings.cache = cache;
         self
     }
 
@@ -378,7 +376,7 @@ impl<'a> PlannerBuilder<'a> {
     /// only to cross-check or to measure the collapse speedup itself.
     #[must_use]
     pub fn iso(mut self, on: bool) -> Self {
-        self.iso = on;
+        self.settings.iso = on;
         self
     }
 
@@ -391,15 +389,7 @@ impl<'a> PlannerBuilder<'a> {
     /// the [`cache`](crate::cache) module docs.
     #[must_use]
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Makes [`Planner::run`] repair plans for memory feasibility under
-    /// the given optimizer (see [`Planner::plan_within_memory`]).
-    #[must_use]
-    pub fn memory_cap(mut self, optimizer: Optimizer) -> Self {
-        self.memory_cap = Some(optimizer);
+        self.settings.plan_cache = Some(cache);
         self
     }
 
@@ -409,7 +399,7 @@ impl<'a> PlannerBuilder<'a> {
     /// metrics. Instrumentation never changes plans.
     #[must_use]
     pub fn subscriber(mut self, subscriber: impl Subscriber + 'static) -> Self {
-        self.obs = Obs::new(subscriber);
+        self.settings.obs = Obs::new(subscriber);
         self
     }
 
@@ -417,27 +407,30 @@ impl<'a> PlannerBuilder<'a> {
     /// share one subscriber and metrics registry). [`Obs::off`] detaches.
     #[must_use]
     pub fn obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.settings.obs = obs;
         self
     }
 
     /// Bounds every AccPar search by a wall-clock deadline, measured
-    /// from the start of each [`Planner::plan_outcome`] /
-    /// [`Planner::plan`] call (not from `build`). On expiry the planner
+    /// from the start of each [`Planner::plan`] /
+    /// [`Planner::plan_outcome`] call and of each strategy in
+    /// [`Planner::plan_all`] (not from `build`). On expiry the planner
     /// returns the best-so-far anytime plan as
     /// [`PlanOutcome::Partial`].
     #[must_use]
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.settings.deadline = Some(deadline);
         self
     }
 
     /// Caps the number of budget nodes (DP layer rows) each AccPar
-    /// search may expand. A cap of 0 forces the pure data-parallel
-    /// fallback — useful to bound worst-case latency deterministically.
+    /// search may expand — in [`Planner::plan`],
+    /// [`Planner::plan_outcome`] and [`Planner::plan_all`] alike. A cap
+    /// of 0 forces the pure data-parallel fallback — useful to bound
+    /// worst-case latency deterministically.
     #[must_use]
     pub fn max_nodes(mut self, cap: u64) -> Self {
-        self.max_nodes = Some(cap);
+        self.settings.max_nodes = Some(cap);
         self
     }
 
@@ -446,11 +439,13 @@ impl<'a> PlannerBuilder<'a> {
     /// next layer row.
     #[must_use]
     pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.settings.cancel = Some(token);
         self
     }
 
-    /// Validates the configuration and builds the [`Planner`].
+    /// Validates the configuration, lowers the network for training and
+    /// bisects the array, and builds the [`Planner`], which keeps the
+    /// lowered view and the group tree for every plan it makes.
     ///
     /// # Errors
     ///
@@ -459,39 +454,26 @@ impl<'a> PlannerBuilder<'a> {
     /// the requested depth; [`PlanError::Network`] when the network
     /// cannot be analyzed for training.
     pub fn build(self) -> Result<Planner<'a>, PlanError> {
-        if self.threads == Some(0) {
-            return Err(PlanError::Config(
-                "thread budget must be at least 1".into(),
-            ));
+        let settings = self.settings;
+        if settings.threads == Some(0) {
+            return Err(PlanError::Config("thread budget must be at least 1".into()));
         }
-        if self.levels == Some(0) {
+        if settings.levels == Some(0) {
             return Err(PlanError::Config(
                 "hierarchy depth must be at least 1".into(),
             ));
         }
-        let levels = self.levels.unwrap_or_else(|| default_levels(self.array));
-        // Surface bisection and network-analysis errors now, not at
-        // plan time.
-        GroupTree::bisect(self.array, levels)?;
-        self.network.train_view()?;
+        let levels = settings
+            .levels
+            .unwrap_or_else(|| default_levels(self.array));
+        let tree = GroupTree::bisect(self.array, levels)?;
+        let view = self.network.train_view()?;
         Ok(Planner {
             network: self.network,
             array: self.array,
-            strategy: self.strategy,
-            levels: self.levels,
-            cost_config: self.cost_config,
-            solver: self.solver,
-            sim_config: self.sim_config,
-            threads: self.threads,
-            caching: self.caching,
-            iso: self.iso,
-            cache: self.cache.unwrap_or_default(),
-            plan_cache: self.plan_cache,
-            memory_cap: self.memory_cap,
-            obs: self.obs,
-            deadline: self.deadline,
-            max_nodes: self.max_nodes,
-            cancel: self.cancel,
+            settings,
+            view,
+            tree,
         })
     }
 }
@@ -499,9 +481,13 @@ impl<'a> PlannerBuilder<'a> {
 /// One-stop planning API: pairs a network with an accelerator array and
 /// produces hierarchical partition plans under any of the four schemes.
 ///
-/// Built via [`Planner::builder`], which validates the configuration up
-/// front. [`Planner::run`] executes the configured strategy;
-/// [`Planner::plan`] plans any strategy ad hoc.
+/// Built via [`Planner::builder`], which validates the configuration,
+/// lowers the network and bisects the array once. Every entry point —
+/// [`plan`](Planner::plan), [`plan_outcome`](Planner::plan_outcome),
+/// [`plan_with_budget_cached`](Planner::plan_with_budget_cached),
+/// [`plan_within_memory`](Planner::plan_within_memory),
+/// [`plan_all`](Planner::plan_all) and [`replan`](Planner::replan) —
+/// reuses that lowered view and group tree.
 ///
 /// # Example
 ///
@@ -521,24 +507,11 @@ impl<'a> PlannerBuilder<'a> {
 pub struct Planner<'a> {
     network: &'a Network,
     array: &'a AcceleratorArray,
-    strategy: Strategy,
-    levels: Option<usize>,
-    cost_config: CostConfig,
-    solver: RatioSolver,
-    sim_config: SimConfig,
-    threads: Option<usize>,
-    caching: bool,
-    iso: bool,
-    memory_cap: Option<Optimizer>,
-    obs: Obs,
-    deadline: Option<Duration>,
-    max_nodes: Option<u64>,
-    cancel: Option<CancelToken>,
-    /// Shared across clones so replans reuse the planning run's memo.
-    cache: Arc<SearchCache>,
-    /// Whole-plan serving cache (see [`crate::cache`]); absent by
-    /// default.
-    plan_cache: Option<Arc<PlanCache>>,
+    settings: Settings,
+    /// The network lowered for training, once, at build.
+    view: TrainView,
+    /// The array bisected to the planner's depth, once, at build.
+    tree: GroupTree,
 }
 
 impl<'a> Planner<'a> {
@@ -549,98 +522,19 @@ impl<'a> Planner<'a> {
         PlannerBuilder::new(network, array)
     }
 
-    /// Creates a planner with default knobs.
-    #[deprecated(since = "0.2.0", note = "use `Planner::builder(network, array).build()`")]
-    #[must_use]
-    pub fn new(network: &'a Network, array: &'a AcceleratorArray) -> Self {
-        Self {
-            network,
-            array,
-            strategy: Strategy::AccPar,
-            levels: None,
-            cost_config: CostConfig::default(),
-            solver: RatioSolver::default(),
-            sim_config: SimConfig::cost_model_aligned(),
-            threads: None,
-            caching: true,
-            iso: true,
-            memory_cap: None,
-            obs: Obs::off(),
-            deadline: None,
-            max_nodes: None,
-            cancel: None,
-            cache: Arc::new(SearchCache::new()),
-            plan_cache: None,
-        }
-    }
-
-    /// Sets the hierarchy depth.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::levels`")]
-    #[must_use]
-    pub fn with_levels(mut self, levels: usize) -> Self {
-        self.levels = Some(levels);
-        self
-    }
-
-    /// Overrides the cost-model configuration used by the AccPar search.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::cost_config`")]
-    #[must_use]
-    pub fn with_cost_config(mut self, config: CostConfig) -> Self {
-        self.cost_config = config;
-        self
-    }
-
-    /// Overrides the ratio solver used by the AccPar search.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::solver`")]
-    #[must_use]
-    pub fn with_solver(mut self, solver: RatioSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Overrides the simulator configuration.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::sim_config`")]
-    #[must_use]
-    pub fn with_sim_config(mut self, config: SimConfig) -> Self {
-        self.sim_config = config;
-        self
-    }
-
-    /// Sets the thread budget for planning.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::threads`")]
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Enables or disables the shared search memo.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::caching`")]
-    #[must_use]
-    pub fn with_caching(mut self, caching: bool) -> Self {
-        self.caching = caching;
-        self
-    }
-
-    /// Shares a search memo with other planners.
-    #[deprecated(since = "0.2.0", note = "use `PlannerBuilder::cache`")]
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<SearchCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// The resolved thread budget.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(|| Pool::from_env().threads())
+        self.settings
+            .threads
+            .unwrap_or_else(|| Pool::from_env().threads())
     }
 
     /// Counters of the shared search memo (all zeros while caching is
     /// disabled or before the first AccPar plan).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.settings.cache.stats()
     }
 
     /// The observability handle the planner was built with (inert
@@ -648,42 +542,38 @@ impl<'a> Planner<'a> {
     /// attached one).
     #[must_use]
     pub const fn obs(&self) -> &Obs {
-        &self.obs
+        &self.settings.obs
     }
 
     /// The hierarchy depth that will be used.
     #[must_use]
-    pub fn levels(&self) -> usize {
-        self.levels.unwrap_or_else(|| default_levels(self.array))
+    pub const fn levels(&self) -> usize {
+        self.tree.levels()
     }
 
-    /// Plans the network under the builder-configured strategy,
-    /// applying the memory cap when one was set via
-    /// [`PlannerBuilder::memory_cap`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Planner::plan`] and [`Planner::plan_within_memory`].
-    pub fn run(&self) -> Result<PlannedNetwork, PlanError> {
-        match self.memory_cap {
-            Some(optimizer) => self.plan_within_memory(self.strategy, optimizer),
-            None => self.plan(self.strategy),
-        }
+    /// The network lowered at build.
+    pub(crate) const fn view(&self) -> &TrainView {
+        &self.view
+    }
+
+    /// Consumes the planner, keeping the lowered view and the group
+    /// tree it planned over.
+    pub(crate) fn into_lowered(self) -> (TrainView, GroupTree) {
+        (self.view, self.tree)
     }
 
     /// A fresh [`Budget`] from the builder's `deadline` / `max_nodes` /
     /// `cancel` knobs. The deadline clock starts *now* — each plan call
     /// gets the full allowance.
-    #[must_use]
-    pub fn fresh_budget(&self) -> Budget {
+    fn fresh_budget(&self) -> Budget {
         let mut budget = Budget::unlimited();
-        if let Some(deadline) = self.deadline {
+        if let Some(deadline) = self.settings.deadline {
             budget = budget.deadline(deadline);
         }
-        if let Some(cap) = self.max_nodes {
+        if let Some(cap) = self.settings.max_nodes {
             budget = budget.max_nodes(cap);
         }
-        if let Some(token) = &self.cancel {
+        if let Some(token) = &self.settings.cancel {
             budget = budget.cancel_token(token);
         }
         budget
@@ -699,7 +589,7 @@ impl<'a> Planner<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates network-analysis, bisection and simulation errors.
+    /// Propagates hierarchy-search and simulation errors.
     pub fn plan(&self, strategy: Strategy) -> Result<PlannedNetwork, PlanError> {
         self.plan_outcome(strategy).map(PlanOutcome::into_planned)
     }
@@ -711,30 +601,18 @@ impl<'a> Planner<'a> {
     ///
     /// See [`Planner::plan`]. A budget stop is not an error.
     pub fn plan_outcome(&self, strategy: Strategy) -> Result<PlanOutcome, PlanError> {
-        self.plan_with_budget(strategy, &self.fresh_budget())
-    }
-
-    /// Plans under an explicit [`Budget`] (overriding the builder
-    /// knobs). The budget bounds the AccPar search — the three baseline
-    /// strategies are closed-form (or search a space too small to
-    /// matter) and always complete.
-    ///
-    /// # Errors
-    ///
-    /// See [`Planner::plan`]. A budget stop is not an error.
-    pub fn plan_with_budget(
-        &self,
-        strategy: Strategy,
-        budget: &Budget,
-    ) -> Result<PlanOutcome, PlanError> {
-        self.plan_with_budget_cached(strategy, budget)
+        self.plan_with_budget_cached(strategy, &self.fresh_budget())
             .map(|(outcome, _)| outcome)
     }
 
-    /// [`Planner::plan_with_budget`], additionally reporting how the
-    /// attached [`PlanCache`] participated ([`CacheOutcome::Disabled`]
-    /// when none is attached). The serving layer uses the provenance to
-    /// demote hits when the request targets degraded hardware.
+    /// Plans under an explicit [`Budget`] (overriding the builder
+    /// knobs), additionally reporting how the attached [`PlanCache`]
+    /// participated ([`CacheOutcome::Disabled`] when none is attached).
+    /// The budget bounds the AccPar search — the three baseline
+    /// strategies are closed-form (or search a space too small to
+    /// matter) and always complete. The serving layer uses the
+    /// provenance to demote hits when the request targets degraded
+    /// hardware.
     ///
     /// # Errors
     ///
@@ -744,14 +622,7 @@ impl<'a> Planner<'a> {
         strategy: Strategy,
         budget: &Budget,
     ) -> Result<(PlanOutcome, CacheOutcome), PlanError> {
-        self.plan_budgeted_with_pool(strategy, Pool::new(self.threads()), budget)
-    }
-
-    /// [`Planner::plan`] with an explicit thread budget (used by
-    /// [`Planner::plan_all`] to divide the budget across strategies).
-    fn plan_with_pool(&self, strategy: Strategy, pool: Pool) -> Result<PlannedNetwork, PlanError> {
-        self.plan_budgeted_with_pool(strategy, pool, &Budget::unlimited())
-            .map(|(outcome, _)| outcome.into_planned())
+        self.pipeline(strategy, Pool::new(self.threads()), budget)
     }
 
     /// Admission validation of a cached record before serving: shape /
@@ -770,23 +641,21 @@ impl<'a> Planner<'a> {
         &self,
         record: &PlanRecord,
         verified: Option<SimReport>,
-        view: &TrainView,
-        tree: &GroupTree,
         strategy: Strategy,
-        levels: usize,
     ) -> Result<(SimReport, bool), CacheOutcome> {
+        let levels = self.levels();
         let shape_ok = record.strategy == strategy
             && record.levels == levels
             && record.plan.depth() == levels
-            && record.plan.plan().len() == view.weighted_len();
+            && record.plan.plan().len() == self.view.weighted_len();
         if !shape_ok {
             return Err(CacheOutcome::Invalid);
         }
         if let Some(report) = verified {
             return Ok((report, false));
         }
-        let report = Simulator::new(self.sim_config)
-            .simulate(view, &record.plan, tree, None)
+        let report = Simulator::new(self.settings.sim_config)
+            .simulate(&self.view, &record.plan, &self.tree, None)
             .map_err(|_| CacheOutcome::Invalid)?;
         if (report.total_secs - record.cost).abs() > cache::POISON_TOLERANCE {
             return Err(CacheOutcome::Poisoned);
@@ -794,19 +663,23 @@ impl<'a> Planner<'a> {
         Ok((report, true))
     }
 
-    fn plan_budgeted_with_pool(
+    /// The planning pipeline every entry point runs: plan-cache consult,
+    /// the strategy's search over the lowered view and group tree, BSP
+    /// evaluation, the anytime never-worse check, and cache admission.
+    fn pipeline(
         &self,
         strategy: Strategy,
         pool: Pool,
         budget: &Budget,
     ) -> Result<(PlanOutcome, CacheOutcome), PlanError> {
         let started = Instant::now();
-        let view = self.network.train_view()?;
-        let levels = self.levels();
-        let tree = GroupTree::bisect(self.array, levels)?;
-        let obs = &self.obs;
-        if self.caching {
-            self.cache.observe(obs);
+        let s = &self.settings;
+        let view = &self.view;
+        let tree = &self.tree;
+        let levels = tree.levels();
+        let obs = &s.obs;
+        if s.caching {
+            s.cache.observe(obs);
         }
         let span = obs.span(
             "plan",
@@ -823,15 +696,15 @@ impl<'a> Planner<'a> {
         // search; everything else falls through to the normal (cold,
         // bit-identical) path and admits the finished plan.
         let mut cache_outcome = CacheOutcome::Disabled;
-        let cache_key = self.plan_cache.as_ref().map(|plan_cache| {
+        let cache_key = s.plan_cache.as_ref().map(|plan_cache| {
             let key = cache::plan_key(
-                &view,
+                view,
                 self.array,
                 strategy,
                 levels,
-                &self.cost_config,
-                &self.solver,
-                &self.sim_config,
+                &s.cost_config,
+                &s.solver,
+                &s.sim_config,
                 budget,
             );
             (Arc::clone(plan_cache), key)
@@ -847,7 +720,7 @@ impl<'a> Planner<'a> {
                         ("levels", levels.into()),
                     ],
                 );
-                match self.validate_record(&record, verified, &view, &tree, strategy, levels) {
+                match self.validate_record(&record, verified, strategy) {
                     Ok((report, fresh_sim)) => {
                         vspan.event(
                             "cache.validate.outcome",
@@ -889,15 +762,15 @@ impl<'a> Planner<'a> {
             stop: None,
         };
         let (plan, anytime) = match strategy {
-            Strategy::DataParallel => (data_parallel_plan(&view, levels), complete),
-            Strategy::Owt => (owt_plan(&view, levels), complete),
-            Strategy::HyPar => (hypar_plan(&view, &tree)?, complete),
+            Strategy::DataParallel => (data_parallel_plan(view, levels), complete),
+            Strategy::Owt => (owt_plan(view, levels), complete),
+            Strategy::HyPar => (hypar_plan(view, tree)?, complete),
             Strategy::AccPar => {
-                let model = CostModel::new(self.cost_config);
-                let mut config = SearchConfig::accpar_with(self.solver);
-                config.collapse = self.iso;
-                if self.iso && obs.enabled() {
-                    let iso = accpar_dnn::iso::IsoClasses::of(&view);
+                let model = CostModel::new(s.cost_config);
+                let mut config = SearchConfig::accpar_with(s.solver);
+                config.collapse = s.iso;
+                if s.iso && obs.enabled() {
+                    let iso = accpar_dnn::iso::IsoClasses::of(view);
                     let classes = iso.layer_classes();
                     obs.span_at(
                         "plan.iso",
@@ -911,9 +784,9 @@ impl<'a> Planner<'a> {
                     obs.counter("iso.classes").add(classes as u64);
                     obs.gauge("iso.collapse_ratio").set(iso.collapse_ratio());
                 }
-                let cache = self.caching.then(|| &*self.cache);
+                let cache = s.caching.then(|| &*s.cache);
                 let (plan, anytime) = plan_node_budgeted(
-                    &view,
+                    view,
                     tree.root(),
                     &model,
                     &config,
@@ -931,9 +804,9 @@ impl<'a> Planner<'a> {
             }
         };
 
-        let report = Simulator::new(self.sim_config)
+        let report = Simulator::new(s.sim_config)
             .with_obs(obs.clone())
-            .simulate(&view, &plan, &tree, None)?;
+            .simulate(view, &plan, tree, None)?;
         let planned = PlannedNetwork {
             strategy,
             plan,
@@ -949,10 +822,10 @@ impl<'a> Planner<'a> {
             let reason = anytime
                 .stop
                 .expect("a fallback level implies a stop reason");
-            let baseline_plan = data_parallel_plan(&view, levels);
-            let baseline_report = Simulator::new(self.sim_config)
+            let baseline_plan = data_parallel_plan(view, levels);
+            let baseline_report = Simulator::new(s.sim_config)
                 .with_obs(obs.clone())
-                .simulate(&view, &baseline_plan, &tree, None)?;
+                .simulate(view, &baseline_plan, tree, None)?;
             let baseline_adopted = baseline_report.total_secs < planned.report.total_secs;
             let planned = if baseline_adopted {
                 PlannedNetwork {
@@ -994,7 +867,7 @@ impl<'a> Planner<'a> {
             obs.counter("planner.plans").inc();
             obs.histogram("planner.ttfp_ns")
                 .record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            emit_decisions(obs, span.id(), &view, outcome.planned().plan());
+            emit_decisions(obs, span.id(), view, outcome.planned().plan());
             if let PlanOutcome::Partial(partial) = &outcome {
                 obs.counter("planner.partial_plans").inc();
                 match partial.reason() {
@@ -1014,8 +887,8 @@ impl<'a> Planner<'a> {
                     span.event("plan.cancelled", &fields);
                 }
             }
-            if self.caching {
-                let stats = self.cache.stats();
+            if s.caching {
+                let stats = s.cache.stats();
                 obs.gauge("planner.cache.hit_rate").set(stats.hit_rate());
                 obs.gauge("planner.cache.lookup_hit_rate")
                     .set(stats.lookup_hit_rate());
@@ -1053,18 +926,17 @@ impl<'a> Planner<'a> {
         optimizer: Optimizer,
     ) -> Result<PlannedNetwork, PlanError> {
         let planned = self.plan(strategy)?;
-        let view = self.network.train_view()?;
-        let tree = GroupTree::bisect(self.array, self.levels())?;
+        let sim_config = self.settings.sim_config;
         let (plan, _report) = crate::feasible::fit_to_memory(
-            &view,
+            &self.view,
             planned.plan(),
-            &tree,
-            &self.sim_config,
+            &self.tree,
+            &sim_config,
             optimizer,
         )?;
-        let report = Simulator::new(self.sim_config)
-            .with_obs(self.obs.clone())
-            .simulate(&view, &plan, &tree, None)?;
+        let report = Simulator::new(sim_config)
+            .with_obs(self.settings.obs.clone())
+            .simulate(&self.view, &plan, &self.tree, None)?;
         Ok(PlannedNetwork {
             strategy,
             plan,
@@ -1084,60 +956,64 @@ impl<'a> Planner<'a> {
         planned: &PlannedNetwork,
         faults: &accpar_hw::FaultModel,
     ) -> Result<crate::replan::ReplanOutcome, PlanError> {
-        let view = self.network.train_view()?;
-        let tree = GroupTree::bisect(self.array, planned.plan().depth())?;
+        let depth = planned.plan().depth();
+        let rebisected;
+        let tree = if depth == self.levels() {
+            &self.tree
+        } else {
+            rebisected = GroupTree::bisect(self.array, depth)?;
+            &rebisected
+        };
+        let s = &self.settings;
         let config = crate::replan::ReplanConfig {
-            cost_config: self.cost_config,
-            solver: self.solver,
-            sim_config: self.sim_config,
+            cost_config: s.cost_config,
+            solver: s.solver,
+            sim_config: s.sim_config,
             sensitivity: true,
             threads: Some(self.threads()),
-            obs: self.obs.clone(),
-            iso: self.iso,
-            budget: accpar_runtime::Budget::unlimited(),
+            obs: s.obs.clone(),
+            iso: s.iso,
+            budget: Budget::unlimited(),
         };
         crate::replan::replan_with(
-            &view,
+            &self.view,
             self.array,
-            &tree,
+            tree,
             planned.plan(),
             faults,
             &config,
-            self.caching.then(|| &*self.cache),
+            s.caching.then(|| &*s.cache),
         )
     }
 
-    /// Plans all four schemes and returns them in [`Strategy::ALL`]
-    /// order. With a thread budget above 1 the strategies run
-    /// concurrently, each on a slice of the budget; results are
-    /// position-bound, so the output is identical to a serial run.
+    /// Plans all four schemes under the builder-configured budget and
+    /// returns them in [`Strategy::ALL`] order — each entry equals
+    /// [`Planner::plan`] of its strategy. With a thread budget above 1
+    /// the strategies run concurrently, each on a slice of the budget;
+    /// results are position-bound, so the output is identical to a
+    /// serial run.
     ///
     /// # Errors
     ///
     /// See [`Planner::plan`].
     pub fn plan_all(&self) -> Result<Vec<PlannedNetwork>, PlanError> {
+        let plan = |strategy: Strategy, pool: Pool| {
+            self.pipeline(strategy, pool, &self.fresh_budget())
+                .map(|(outcome, _)| outcome.into_planned())
+        };
         let budget = self.threads();
         if budget <= 1 {
-            return Strategy::ALL.iter().map(|&s| self.plan_with_pool(s, Pool::serial())).collect();
+            return Strategy::ALL
+                .iter()
+                .map(|&s| plan(s, Pool::serial()))
+                .collect();
         }
         let workers = budget.min(Strategy::ALL.len());
         let inner = Pool::new(budget / workers);
         Pool::new(workers)
-            .par_map(&Strategy::ALL, |_, &s| self.plan_with_pool(s, inner))
+            .par_map(&Strategy::ALL, |_, &s| plan(s, inner))
             .into_iter()
             .collect()
-    }
-
-    /// Plans a batch of independent requests with per-request panic
-    /// isolation, overload shedding and a stall watchdog. Convenience
-    /// alias for [`crate::serve::plan_many`]; see the
-    /// [`serve`](crate::serve) module docs for the contract.
-    #[must_use]
-    pub fn plan_many(
-        requests: &[crate::serve::PlanRequest<'_>],
-        config: &crate::serve::ServeConfig,
-    ) -> Vec<Result<PlanOutcome, PlanError>> {
-        crate::serve::plan_many(requests, config)
     }
 }
 
@@ -1279,42 +1155,6 @@ mod tests {
             Planner::builder(&net, &array).levels(9).build(),
             Err(PlanError::Hw(_))
         ));
-    }
-
-    #[test]
-    fn run_executes_the_configured_strategy() {
-        let net = zoo::lenet(64).unwrap();
-        let array = AcceleratorArray::heterogeneous_tpu(2, 2);
-        let planned = Planner::builder(&net, &array)
-            .strategy(Strategy::Owt)
-            .levels(2)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(planned.strategy(), Strategy::Owt);
-        let capped = Planner::builder(&net, &array)
-            .strategy(Strategy::AccPar)
-            .levels(2)
-            .memory_cap(Optimizer::Sgd)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(capped.strategy(), Strategy::AccPar);
-        assert!(capped.modeled_cost() > 0.0);
-    }
-
-    #[test]
-    fn deprecated_constructor_still_plans() {
-        #![allow(deprecated)]
-        let net = zoo::lenet(64).unwrap();
-        let array = AcceleratorArray::homogeneous_tpu_v3(2);
-        #[allow(deprecated)]
-        let planned = Planner::new(&net, &array)
-            .plan(Strategy::DataParallel)
-            .unwrap();
-        assert_eq!(planned.strategy(), Strategy::DataParallel);
     }
 
     #[test]

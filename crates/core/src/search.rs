@@ -295,7 +295,7 @@ enum StepKind {
 /// `evaluate_plan` sweeps on one searcher run allocation-free in steady
 /// state. Interior mutability keeps the public `&self` search API; the
 /// searcher is used from one thread at a time (the table *build* in
-/// `with_budget` parallelizes before `Self` exists).
+/// `with_budget_iso` parallelizes before `Self` exists).
 #[derive(Debug, Default)]
 struct Scratch {
     f64s: Vec<Vec<f64>>,
@@ -399,45 +399,34 @@ impl<'a> LevelSearcher<'a> {
         env: &'a PairEnv,
         scales: Option<&'a [ShardScales]>,
     ) -> Result<Self, PlanError> {
-        Self::with_cache(view, model, config, env, scales, Pool::serial(), None)
-    }
-
-    /// Like [`LevelSearcher::new`], with a thread budget for the cost
-    /// table construction and an optional shared [`SearchCache`].
-    ///
-    /// With `Pool::serial()` and no cache this is exactly `new`: the two
-    /// paths share one code path and produce bit-identical tables.
-    ///
-    /// # Errors
-    ///
-    /// As [`LevelSearcher::new`].
-    pub fn with_cache(
-        view: &'a TrainView,
-        model: &'a CostModel,
-        config: &'a SearchConfig,
-        env: &'a PairEnv,
-        scales: Option<&'a [ShardScales]>,
-        pool: Pool,
-        cache: Option<&'a SearchCache>,
-    ) -> Result<Self, PlanError> {
-        Self::with_budget(
+        Self::with_budget_iso(
             view,
             model,
             config,
             env,
             scales,
-            pool,
-            cache,
+            Pool::serial(),
+            None,
             &Budget::unlimited(),
             &accpar_obs::Obs::off(),
+            None,
         )
     }
 
-    /// Like [`LevelSearcher::with_cache`], under a cooperative
-    /// [`Budget`]: the cost-table build charges one budget node per
-    /// layer row, worker closures run panic-isolated (retried with
-    /// seeded backoff, then degraded to the serial path), and every
-    /// scalarized cost is checked finite before it can enter a DP `min`.
+    /// Like [`LevelSearcher::new`], with a thread budget for the cost
+    /// table construction, an optional shared [`SearchCache`], a
+    /// cooperative [`Budget`] and an optionally precomputed isomorphism
+    /// classification. With `Pool::serial()`, no cache and an unlimited
+    /// budget this is exactly `new`: the two share one code path and
+    /// produce bit-identical tables.
+    ///
+    /// The cost-table build charges one budget node per layer row,
+    /// worker closures run panic-isolated (retried with seeded backoff,
+    /// then degraded to the serial path), and every scalarized cost is
+    /// checked finite before it can enter a DP `min`. Classification is
+    /// a pure function of the view, so the hierarchy computes it once
+    /// per plan and shares it across every level instead of re-deriving
+    /// it per searcher.
     ///
     /// # Errors
     ///
@@ -446,25 +435,6 @@ impl<'a> LevelSearcher<'a> {
     /// row's closure panics through every retry *and* the serial
     /// fallback, and [`PlanError::NonFinite`] when a cost table entry
     /// is NaN or infinite.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_budget(
-        view: &'a TrainView,
-        model: &'a CostModel,
-        config: &'a SearchConfig,
-        env: &'a PairEnv,
-        scales: Option<&'a [ShardScales]>,
-        pool: Pool,
-        cache: Option<&'a SearchCache>,
-        budget: &Budget,
-        obs: &accpar_obs::Obs,
-    ) -> Result<Self, PlanError> {
-        Self::with_budget_iso(view, model, config, env, scales, pool, cache, budget, obs, None)
-    }
-
-    /// [`LevelSearcher::with_budget`] with an optionally precomputed
-    /// isomorphism classification. Classification is a pure function of
-    /// the view, so the hierarchy computes it once per plan and shares
-    /// it across every level instead of re-deriving it per searcher.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn with_budget_iso(
         view: &'a TrainView,
@@ -1183,8 +1153,8 @@ impl<'a> LevelSearcher<'a> {
 
     /// [`search`](LevelSearcher::search) under a cooperative budget:
     /// the trunk scan checks for cancellation and deadline expiry at
-    /// every element (the per-row node charges were already paid in
-    /// [`with_budget`](LevelSearcher::with_budget)).
+    /// every element (the per-row node charges were already paid while
+    /// the cost tables were built).
     ///
     /// # Errors
     ///

@@ -207,7 +207,6 @@ fn serve_one(
     config: &ServeConfig,
 ) -> Result<PlanOutcome, PlanError> {
     let mut builder = Planner::builder(request.network, request.array)
-        .strategy(request.strategy)
         .cost_config(config.cost_config)
         .solver(config.solver)
         .sim_config(config.sim_config)
@@ -242,9 +241,8 @@ fn serve_one(
     }
     let healthy = outcome.into_planned();
     let replanned = planner.replan(&healthy, faults)?;
-    let view = request.network.train_view()?;
     let report = Simulator::new(config.sim_config).simulate(
-        &view,
+        planner.view(),
         &replanned.plan,
         &replanned.tree,
         Some(&replanned.faults),

@@ -72,20 +72,20 @@
 
 use crate::baselines::data_parallel_plan;
 use crate::error::PlanError;
-use crate::hierarchy::plan_node_budgeted;
 use crate::memo::SearchCache;
+use crate::planner::{Planner, Strategy};
 use crate::replan::{replan_with, survive, ReplanConfig, ReplanOutcome};
-use crate::search::SearchConfig;
 use crate::serve::payload_message;
-use accpar_cost::{CostConfig, CostModel, RatioSolver};
+use accpar_cost::{CostConfig, RatioSolver};
 use accpar_dnn::{Network, TrainView};
 use accpar_hw::{AcceleratorArray, FaultModel, GroupTree, HealthEvent, HealthSchedule};
 use accpar_obs::Obs;
 use accpar_partition::PlanTree;
-use accpar_runtime::{Budget, Pool, RetryPolicy};
+use accpar_runtime::{Budget, RetryPolicy};
 use accpar_sim::{SimConfig, Simulator};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -305,7 +305,9 @@ pub struct Supervisor {
     array: AcceleratorArray,
     tree: GroupTree,
     config: SuperviseConfig,
-    cache: SearchCache,
+    /// The search memo the healthy plan was built with; every replan
+    /// reuses it.
+    cache: Arc<SearchCache>,
     /// The plan built against healthy hardware: every replan
     /// warm-starts from it, never from the evolved incumbent, so the
     /// supervisor's trajectory is a pure function of the fault set.
@@ -335,14 +337,19 @@ pub struct Supervisor {
 impl Supervisor {
     /// Plans `network` on healthy `array` hardware and starts serving.
     ///
-    /// `levels` is the hierarchy depth (`None`: bisect to single
-    /// boards, matching [`Planner`](crate::Planner)'s default).
+    /// The healthy plan is [`Planner::plan`] of [`Strategy::AccPar`]
+    /// under the config's cost model, solver, simulator, iso and thread
+    /// settings; the supervisor keeps the planner's lowered view, group
+    /// tree and search memo for every later decision. `levels` is the
+    /// hierarchy depth (`None`: the planner's default, bisecting to
+    /// single boards).
     ///
     /// # Errors
     ///
     /// Returns [`PlanError::Config`] for invalid thresholds (see
-    /// [`SuperviseConfig::validate`]) and propagates planning,
-    /// hardware, and simulation errors from the initial healthy plan.
+    /// [`SuperviseConfig::validate`]) or a zero thread budget, and
+    /// propagates planning, hardware, and simulation errors from the
+    /// initial healthy plan.
     pub fn new(
         network: &Network,
         array: &AcceleratorArray,
@@ -350,35 +357,24 @@ impl Supervisor {
         config: SuperviseConfig,
     ) -> Result<Self, PlanError> {
         config.validate()?;
-        let view = network.train_view()?;
-        let levels = levels.unwrap_or_else(|| {
-            let boards = array.len().max(1);
-            (usize::BITS as usize - 1 - boards.leading_zeros() as usize).max(1)
-        });
-        let tree = GroupTree::bisect(array, levels)?;
-        let cache = SearchCache::new();
-        let pool = config.threads.map_or_else(Pool::from_env, Pool::new);
-        let model = CostModel::new(config.cost_config);
-        let mut search = SearchConfig::accpar_with(config.solver);
-        search.collapse = config.iso;
-        let (healthy, _) = plan_node_budgeted(
-            &view,
-            tree.root(),
-            &model,
-            &search,
-            None,
-            pool,
-            Some(&cache),
-            &Obs::off(),
-            None,
-            &Budget::unlimited(),
-        )?;
-        let healthy = healthy.ok_or_else(|| {
-            PlanError::Config("the array cannot host a hierarchical plan".into())
-        })?;
-        let nominal_secs = Simulator::new(config.sim_config)
-            .simulate(&view, &healthy, &tree, None)?
-            .total_secs;
+        let cache = Arc::new(SearchCache::new());
+        let mut builder = Planner::builder(network, array)
+            .cost_config(config.cost_config)
+            .solver(config.solver)
+            .sim_config(config.sim_config)
+            .iso(config.iso)
+            .cache(Arc::clone(&cache));
+        if let Some(levels) = levels {
+            builder = builder.levels(levels);
+        }
+        if let Some(threads) = config.threads {
+            builder = builder.threads(threads);
+        }
+        let planner = builder.build()?;
+        let planned = planner.plan(Strategy::AccPar)?;
+        let healthy = planned.plan().clone();
+        let nominal_secs = planned.modeled_cost();
+        let (view, tree) = planner.into_lowered();
         Ok(Self {
             view,
             array: array.clone(),
@@ -767,7 +763,7 @@ impl Supervisor {
                     &self.healthy,
                     &self.faults,
                     &config,
-                    Some(&self.cache),
+                    Some(&*self.cache),
                 )
             }));
             match result {

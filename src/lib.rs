@@ -76,7 +76,7 @@
 //!     .levels(2)
 //!     .subscriber(Arc::clone(&collector))
 //!     .build()?;
-//! let planned = planner.run()?;
+//! let planned = planner.plan(Strategy::AccPar)?;
 //!
 //! // One decision event per (plan-tree node, weighted layer).
 //! let decisions = collector.events_named("plan.decision");

@@ -10,6 +10,11 @@
 //! stacks and GPT-2 XL), random repeated-block graphs (the collapse's
 //! best case and therefore its riskiest), serial vs parallel searches,
 //! armed budgets with partial outcomes, and fault-driven replanning.
+//!
+//! The same bit-identity holds across entry points: every `Planner`
+//! method and the `Supervisor`'s healthy baseline run one pipeline over
+//! the view and tree lowered at build, so they all return `plan`'s
+//! result.
 
 use accpar::prelude::*;
 use std::sync::Arc;
@@ -38,18 +43,14 @@ fn plan_pair(
     (run(false), run(true))
 }
 
-fn assert_bit_identical(off: &PlannedNetwork, on: &PlannedNetwork, what: &str) {
+fn assert_bit_identical(a: &PlannedNetwork, b: &PlannedNetwork, what: &str) {
+    assert_eq!(a.plan(), b.plan(), "{what}: plan trees diverged");
     assert_eq!(
-        off.plan(),
-        on.plan(),
-        "{what}: collapsed plan tree diverged from uncollapsed"
-    );
-    assert_eq!(
-        off.modeled_cost().to_bits(),
-        on.modeled_cost().to_bits(),
-        "{what}: collapsed cost {} != uncollapsed cost {}",
-        on.modeled_cost(),
-        off.modeled_cost()
+        a.modeled_cost().to_bits(),
+        b.modeled_cost().to_bits(),
+        "{what}: costs diverged, {} vs {}",
+        a.modeled_cost(),
+        b.modeled_cost()
     );
 }
 
@@ -180,11 +181,11 @@ fn armed_budgets_agree_level_by_level() {
     };
     for cap in [0, 1, 2, 3, 5, 8, 13, 1_000_000] {
         let budget = || Budget::unlimited().max_nodes(cap);
-        let off = planner(false)
-            .plan_with_budget(Strategy::AccPar, &budget())
+        let (off, _) = planner(false)
+            .plan_with_budget_cached(Strategy::AccPar, &budget())
             .expect("uncollapsed budgeted plan");
-        let on = planner(true)
-            .plan_with_budget(Strategy::AccPar, &budget())
+        let (on, _) = planner(true)
+            .plan_with_budget_cached(Strategy::AccPar, &budget())
             .expect("collapsed budgeted plan");
         let solved_off = assert_solved_or_fallback(
             off.planned().plan(),
@@ -319,4 +320,79 @@ fn fault_replan_splits_only_touched_classes() {
         outcome.degraded_secs,
         stale
     );
+}
+
+/// Every planner entry point runs one pipeline over the view and tree
+/// lowered at build: each returns `plan`'s result bit for bit, for every
+/// strategy and thread count, and a second `plan` on the same planner
+/// shows that reusing the lowered view carries no state between calls.
+#[test]
+fn every_entry_point_returns_the_plan_bit_identically() {
+    let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+    let networks = [
+        zoo::resnet18(64).expect("zoo network"),
+        zoo::bert_base(8, 64).expect("zoo network"),
+    ];
+    for network in &networks {
+        for threads in [1, 2] {
+            let planner = Planner::builder(network, &array)
+                .threads(threads)
+                .build()
+                .expect("planner builds");
+            let all = planner.plan_all().expect("plan_all");
+            for (i, &strategy) in Strategy::ALL.iter().enumerate() {
+                let what = format!("{} {strategy} threads {threads}", network.name());
+                let reference = planner.plan(strategy).expect("plan");
+                let outcome = planner
+                    .plan_outcome(strategy)
+                    .expect("plan_outcome")
+                    .into_planned();
+                let (budgeted, _) = planner
+                    .plan_with_budget_cached(strategy, &Budget::unlimited())
+                    .expect("plan_with_budget_cached");
+                let again = planner.plan(strategy).expect("second plan");
+                for (entry, planned) in [
+                    ("plan_outcome", &outcome),
+                    ("plan_with_budget_cached", &budgeted.into_planned()),
+                    ("plan_all", &all[i]),
+                    ("second plan", &again),
+                ] {
+                    assert_bit_identical(&reference, planned, &format!("{what}: {entry}"));
+                }
+            }
+        }
+    }
+}
+
+/// The supervisor's healthy baseline is `Planner::plan(AccPar)` under
+/// the same cost, solver and simulator configurations.
+#[test]
+fn supervisor_baseline_is_the_planner_plan() {
+    let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+    for network in [
+        zoo::resnet18(64).expect("zoo network"),
+        zoo::bert_base(8, 64).expect("zoo network"),
+    ] {
+        let config = SuperviseConfig {
+            threads: Some(1),
+            ..SuperviseConfig::default()
+        };
+        let planned = Planner::builder(&network, &array)
+            .cost_config(config.cost_config)
+            .solver(config.solver)
+            .sim_config(config.sim_config)
+            .threads(1)
+            .build()
+            .expect("planner builds")
+            .plan(Strategy::AccPar)
+            .expect("healthy plan");
+        let sup = Supervisor::new(&network, &array, None, config).expect("supervisor starts");
+        assert_eq!(sup.healthy_plan(), planned.plan(), "{}", network.name());
+        assert_eq!(
+            sup.nominal_secs().to_bits(),
+            planned.modeled_cost().to_bits(),
+            "{}",
+            network.name()
+        );
+    }
 }

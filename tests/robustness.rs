@@ -196,6 +196,33 @@ fn zero_node_budget_yields_the_pure_data_parallel_plan() {
     );
 }
 
+/// `plan_all` runs under the builder's budget exactly like `plan`: with
+/// a zero node cap its AccPar entry is the data-parallel fallback, not
+/// a full search.
+#[test]
+fn plan_all_honours_the_builder_budget() {
+    let network = zoo::vgg16(128).unwrap();
+    let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+    for threads in [1, 2] {
+        let planner = Planner::builder(&network, &array)
+            .threads(threads)
+            .max_nodes(0)
+            .build()
+            .unwrap();
+        let all = planner.plan_all().unwrap();
+        let entry = &all[3];
+        assert_eq!(entry.strategy(), Strategy::AccPar);
+        let accpar = planner.plan(Strategy::AccPar).unwrap();
+        assert_eq!(entry.plan(), accpar.plan());
+        assert_eq!(
+            entry.modeled_cost().to_bits(),
+            accpar.modeled_cost().to_bits()
+        );
+        let dp = planner.plan(Strategy::DataParallel).unwrap();
+        assert_eq!(entry.plan(), dp.plan(), "a zero budget solves nothing");
+    }
+}
+
 #[test]
 fn plan_quality_is_monotone_in_the_node_budget() {
     // A seeded random MLP: as the node budget grows, the solved
@@ -220,8 +247,8 @@ fn plan_quality_is_monotone_in_the_node_budget() {
     let mut last_cost = f64::INFINITY;
     for budget_rows in [0, rows, 2 * rows, 3 * rows, u64::MAX] {
         let budget = Budget::unlimited().max_nodes(budget_rows);
-        let outcome = planner
-            .plan_with_budget(Strategy::AccPar, &budget)
+        let (outcome, _) = planner
+            .plan_with_budget_cached(Strategy::AccPar, &budget)
             .unwrap();
         let completeness = outcome.completeness();
         let cost = outcome.planned().modeled_cost();
@@ -309,7 +336,9 @@ fn an_injected_worker_panic_is_retried_to_a_bit_identical_plan() {
         .build()
         .unwrap();
     let chaos = Budget::unlimited().chaos_panic_at_node(5);
-    let outcome = planner.plan_with_budget(Strategy::AccPar, &chaos).unwrap();
+    let (outcome, _) = planner
+        .plan_with_budget_cached(Strategy::AccPar, &chaos)
+        .unwrap();
     assert!(outcome.is_complete(), "the retried search still completes");
     assert_eq!(outcome.planned().plan(), serial.plan());
     assert_eq!(
@@ -352,7 +381,7 @@ fn plan_many_exhibits_all_four_outcomes() {
         obs: Obs::new(Arc::clone(&collector)),
         ..ServeConfig::default()
     };
-    let results = Planner::plan_many(&requests, &config);
+    let results = plan_many(&requests, &config);
     assert_eq!(results.len(), 4);
 
     // 1: complete.
