@@ -72,7 +72,7 @@ pub use hierarchy::AnytimeReport;
 pub use memo::{CacheStats, SearchCache};
 pub use planner::{PartialPlan, PlanOutcome, PlannedNetwork, Planner, PlannerBuilder, Strategy};
 pub use replan::{replan, FaultImpact, PlanDelta, ReplanConfig, ReplanOutcome};
-pub use search::{level_class_keys, LevelSearcher, SearchConfig, SearchOutcome};
+pub use search::{LevelSearcher, SearchConfig, SearchOutcome};
 pub use serve::{plan_many, PlanRequest, ServeConfig};
 pub use supervise::{Decision, SuperviseAction, SuperviseConfig, SuperviseReport, Supervisor};
 

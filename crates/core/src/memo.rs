@@ -13,10 +13,23 @@
 //!    one residual block between every (entry state, junction exit)
 //!    pair, keyed by the branches' layer signatures/scales, the entry
 //!    states, the fork size and the environment. Repeated ResNet
-//!    blocks within one level hit this tier.
-//! 3. **Layer table cells** — per-(layer, type) ratio/cost solves,
-//!    delegated to [`accpar_cost::CostCache`]. Shape-identical VGG
-//!    conv layers hit this tier.
+//!    blocks within one level hit this tier, and so do the unchanged
+//!    blocks of a replan.
+//! 3. **Layer rows** — one layer's ratio/cost solves for every
+//!    admissible type at once, one row map delegated to
+//!    [`accpar_cost::CostCache`]. Shape-identical VGG conv layers hit
+//!    this tier.
+//!
+//! Block tables have a second memo: a searcher without a shared cache
+//! keeps its own under isomorphism collapse (see
+//! [`LevelSearcher`]), keyed by row-group ids rather than layer
+//! signatures. Both stay because each pays where the other is absent.
+//! On a 2-vCPU host, replacing the shared tier by a value-complete
+//! per-searcher memo lowered planbench's `supervise_chaos` throughput
+//! by 6% (median of 6 paired 12-s runs, lower in 4 of them): the loss
+//! is the tier's hits across replans. Dropping the per-searcher memo
+//! took the cache-less collapsed search of the 96-block encoder stack
+//! from 1.41 to 4.38 ms (medians of 10 runs).
 //!
 //! Every key canonicalizes `f64`s via [`f64::to_bits`], so a
 //! `FaultModel`-degraded tree — whose group capabilities differ from the
@@ -180,7 +193,8 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// The three-tier search memo (see the module docs above).
+/// The three-tier search memo (see the module docs above): level
+/// outcomes, block transfer tables and one layer-row map.
 ///
 /// Thread-safe and shared by reference across the planner's workers.
 /// Reuse across *different* networks or cost configurations is safe —
@@ -206,7 +220,7 @@ impl SearchCache {
         Self::default()
     }
 
-    /// Routes the layer-cell tier's hit/miss/per-type counters and
+    /// Routes the layer-row tier's hit/miss/per-type counters and
     /// solve timings to `obs` (see
     /// [`CostCache::observe`](accpar_cost::CostCache::observe)). A
     /// no-op when `obs` is disabled; the first enabled registration
@@ -229,9 +243,10 @@ impl SearchCache {
         }
     }
 
-    /// Tier-3 lookup: one layer's full row of (type → ratio/cost) cells.
-    /// `None` when the type set is too wide for a row entry — fall back
-    /// to [`SearchCache::layer_cell`].
+    /// Tier-3 lookup: one layer's full row of (type → ratio/cost)
+    /// cells, the first `types.len()` of them in `types` order. The
+    /// searcher rejects duplicate types, so every type set it passes
+    /// fits one [`Row`].
     pub(crate) fn layer_row(
         &self,
         model: &CostModel,
@@ -240,23 +255,9 @@ impl SearchCache {
         types: &[PartitionType],
         env: &PairEnv,
         scales: ShardScales,
-    ) -> Option<Row> {
+    ) -> Row {
         self.layers
             .layer_row(model, solver, layer, types, env, scales)
-    }
-
-    /// Tier-3 lookup of a single (layer, type) cell.
-    pub(crate) fn layer_cell(
-        &self,
-        model: &CostModel,
-        solver: &RatioSolver,
-        layer: &TrainLayer,
-        ptype: PartitionType,
-        env: &PairEnv,
-        scales: ShardScales,
-    ) -> (Ratio, f64) {
-        self.layers
-            .layer_ratio_cost(model, solver, layer, ptype, env, scales)
     }
 
     /// Records that a level request asked for `n` layer-table cells

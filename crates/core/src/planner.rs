@@ -973,7 +973,7 @@ impl<'a> Planner<'a> {
             threads: Some(self.threads()),
             obs: s.obs.clone(),
             iso: s.iso,
-            budget: Budget::unlimited(),
+            budget: self.fresh_budget(),
         };
         crate::replan::replan_with(
             &self.view,

@@ -29,7 +29,7 @@
 
 use crate::error::PlanError;
 use crate::memo::{BlockKey, BlockTransfer, SearchCache};
-use accpar_cost::cache::{env_bits, scales_bits, FxHashMap, FxHasher};
+use accpar_cost::cache::{scales_bits, FxHashMap};
 use accpar_cost::{layer_ratio_cost, CostModel, PairEnv, RatioSolver};
 use accpar_dnn::iso::IsoClasses;
 use accpar_dnn::{TrainElem, TrainLayer, TrainView};
@@ -37,6 +37,7 @@ use accpar_partition::{LayerPlan, NetworkPlan, PartitionType, Ratio, ShardScales
 use accpar_runtime::{Budget, Pool, RetryPolicy, StopReason};
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::sync::Arc;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Packs a [`StopReason`] into an `AtomicU8` (0 = still running) so
@@ -187,51 +188,6 @@ pub(crate) fn collapse_group_count(iso: &IsoClasses, scales: &[ShardScales]) -> 
     count
 }
 
-/// The value-complete per-layer equivalence-class key of one level, in
-/// weighted-layer-index order: two layers get equal keys exactly when
-/// the collapsed search would share a cost-table row between them at
-/// this level — same structural class ([`IsoClasses`], which folds in
-/// kind, shapes, meta-dims, attention stage and fan-in context), same
-/// shard scales, same pair environment (so a fault-degraded group
-/// splits every class of the levels it touches) and same search
-/// context (cost config, solver, type set).
-#[must_use]
-pub fn level_class_keys(
-    view: &TrainView,
-    model: &CostModel,
-    config: &SearchConfig,
-    env: &PairEnv,
-    scales: Option<&[ShardScales]>,
-) -> Vec<u64> {
-    use std::hash::{Hash, Hasher};
-    let iso = IsoClasses::of(view);
-    let env_b = env_bits(env);
-    let ctx = crate::memo::context_hash(&model.config(), &config.solver, &config.types);
-    let full;
-    let scales = match scales {
-        Some(s) => s,
-        None => {
-            full = vec![ShardScales::full(); view.weighted_len()];
-            &full
-        }
-    };
-    let mut layers: Vec<&TrainLayer> = view.layers().collect();
-    layers.sort_by_key(|l| l.index());
-    layers
-        .iter()
-        .map(|l| {
-            let mut h = FxHasher::default();
-            iso.layer_class(l.index()).hash(&mut h);
-            accpar_cost::LayerSig::of(l, &model.config()).hash(&mut h);
-            l.heads().hash(&mut h);
-            scales_bits(scales[l.index()]).hash(&mut h);
-            env_b.hash(&mut h);
-            ctx.hash(&mut h);
-            h.finish()
-        })
-        .collect()
-}
-
 /// The result of a level search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
@@ -291,11 +247,11 @@ enum StepKind {
 /// Reusable buffers behind every DP table the searcher builds: trunk
 /// cost/state rows, flat backpointer tables, branch transition tables
 /// and assignment pools. Buffers are taken out for the duration of one
-/// table build and returned cleared, so repeated searches and
-/// `evaluate_plan` sweeps on one searcher run allocation-free in steady
-/// state. Interior mutability keeps the public `&self` search API; the
-/// searcher is used from one thread at a time (the table *build* in
-/// `with_budget_iso` parallelizes before `Self` exists).
+/// table build and returned cleared, so repeated searches on one
+/// searcher run allocation-free in steady state. Interior mutability
+/// keeps the public `&self` search API; the searcher is used from one
+/// thread at a time (the table *build* in `with_budget_iso`
+/// parallelizes before `Self` exists).
 #[derive(Debug, Default)]
 struct Scratch {
     f64s: Vec<Vec<f64>>,
@@ -354,7 +310,7 @@ pub struct LevelSearcher<'a> {
     /// shared [`SearchCache`] is attached: identical blocks within one
     /// level (the 48 q|k|v blocks of a deep stack) compute one table.
     /// With a shared cache the shared tier already dedupes.
-    local_blocks: RefCell<FxHashMap<LocalBlockKey, std::sync::Arc<BlockTransfer>>>,
+    local_blocks: RefCell<FxHashMap<LocalBlockKey, Arc<BlockTransfer>>>,
     /// Element index → interned block shape id (collapse path only;
     /// empty when collapse is off). Interned once at build so the DP
     /// hot path keys its block memo without re-walking the branches.
@@ -390,8 +346,9 @@ impl<'a> LevelSearcher<'a> {
     /// # Errors
     ///
     /// Returns [`PlanError::EmptySearchSpace`] when the configuration
-    /// admits no types, and [`PlanError::Mismatch`] when `scales` does
-    /// not carry one entry per weighted layer.
+    /// admits no types, [`PlanError::Config`] when it lists a type twice,
+    /// and [`PlanError::Mismatch`] when `scales` does not carry one entry
+    /// per weighted layer.
     pub fn new(
         view: &'a TrainView,
         model: &'a CostModel,
@@ -450,6 +407,14 @@ impl<'a> LevelSearcher<'a> {
     ) -> Result<Self, PlanError> {
         if config.types.is_empty() {
             return Err(PlanError::EmptySearchSpace);
+        }
+        // Distinct types keep a type set within one cost-cache row.
+        let types = &config.types;
+        if let Some(i) = (1..types.len()).find(|&i| types[..i].contains(&types[i])) {
+            return Err(PlanError::Config(format!(
+                "partition type {} is listed twice in the search space",
+                types[i]
+            )));
         }
         let mut layers: Vec<&TrainLayer> = view.layers().collect();
         layers.sort_by_key(|l| l.index());
@@ -519,23 +484,11 @@ impl<'a> LevelSearcher<'a> {
                 return None;
             }
             Some(match cache {
-                Some(c) => match c.layer_row(
-                    model,
-                    &config.solver,
-                    layer,
-                    &config.types,
-                    env,
-                    scales[l],
-                ) {
+                Some(c) => {
                     // A row hit is a stack copy — no heap traffic.
-                    Some(row) => row[..config.types.len()].iter().copied().unzip(),
-                    // Type sets wider than a row entry memoize per cell.
-                    None => config
-                        .types
-                        .iter()
-                        .map(|&t| c.layer_cell(model, &config.solver, layer, t, env, scales[l]))
-                        .unzip(),
-                },
+                    let row = c.layer_row(model, &config.solver, layer, &config.types, env, scales[l]);
+                    row[..config.types.len()].iter().copied().unzip()
+                }
                 None => config
                     .types
                     .iter()
@@ -814,96 +767,6 @@ impl<'a> LevelSearcher<'a> {
         (fork_size as f64 * self.scales[rep.index()].f_in).round() as u64
     }
 
-    /// Optimal cost and per-layer type choices for one branch between a
-    /// (possibly absent) entry state and a junction exit state.
-    fn branch_best(
-        &self,
-        branch: &[TrainLayer],
-        entry: Option<State>,
-        exit: State,
-        exit_elems: u64,
-    ) -> (f64, Vec<(usize, usize)>) {
-        let dp = self.branch_dp(branch, entry);
-        let result = self.branch_finish(branch, &dp, entry, exit, exit_elems);
-        self.recycle_dp(dp);
-        result
-    }
-
-    /// The entry-dependent part of [`branch_best`](Self::branch_best):
-    /// the chain DP along the branch. Independent of the exit state, so
-    /// one DP serves every junction exit of the block.
-    #[allow(clippy::needless_range_loop)]
-    fn branch_dp(&self, branch: &[TrainLayer], entry: Option<State>) -> BranchDp {
-        let k = self.k();
-        let mut cost = self.take_f64();
-        let back = self.take_u32();
-        let Some(first) = branch.first() else {
-            return BranchDp { cost, back };
-        };
-        cost.extend((0..k).map(|ti| {
-            let edge = entry.map_or(0.0, |e| self.consume_cost(e, first.index(), ti));
-            edge + self.cost_of(first.index(), ti)
-        }));
-        let mut dp = BranchDp { cost, back };
-        let mut next_cost = self.take_f64();
-        for pair in branch.windows(2) {
-            let cur = pair[1].index();
-            let prev_layer = pair[0].index();
-            next_cost.clear();
-            next_cost.resize(k, f64::INFINITY);
-            let row = dp.back.len();
-            dp.back.resize(row + k, 0);
-            for ti in 0..k {
-                for tt in 0..k {
-                    let c = dp.cost[tt]
-                        + self.consume_cost(self.state(prev_layer, tt), cur, ti)
-                        + self.cost_of(cur, ti);
-                    if c < next_cost[ti] {
-                        next_cost[ti] = c;
-                        dp.back[row + ti] = tt as u32;
-                    }
-                }
-            }
-            std::mem::swap(&mut dp.cost, &mut next_cost);
-        }
-        self.put_f64(next_cost);
-        dp
-    }
-
-    /// The exit-dependent part of [`branch_best`](Self::branch_best):
-    /// re-layout into the junction state, min over the last layer's
-    /// type and backtrack. Splitting the DP off changes no arithmetic —
-    /// the exit only ever entered the final min loop.
-    fn branch_finish(
-        &self,
-        branch: &[TrainLayer],
-        dp: &BranchDp,
-        entry: Option<State>,
-        exit: State,
-        exit_elems: u64,
-    ) -> (f64, Vec<(usize, usize)>) {
-        let k = self.k();
-        if branch.is_empty() {
-            // Identity shortcut: the fork tensor is re-laid-out into the
-            // junction state (free when the entry already matches).
-            let cost = entry.map_or(0.0, |e| self.relayout_cost(e, exit, exit_elems));
-            return (cost, Vec::new());
-        }
-        // Exit re-layout from the branch's last layer.
-        let last = branch.last().expect("non-empty").index();
-        let (mut best, mut best_ti) = (f64::INFINITY, 0);
-        for ti in 0..k {
-            let c = dp.cost[ti] + self.relayout_cost(self.state(last, ti), exit, exit_elems);
-            if c < best {
-                best = c;
-                best_ti = ti;
-            }
-        }
-        // Backtrack type choices along the branch over the flat table.
-        let assignment = self.backtrack_branch(branch, dp, best_ti);
-        (best, assignment)
-    }
-
     /// Walks a branch DP's flat backpointer table from the last layer's
     /// chosen type index back to the first, returning the per-layer
     /// `(layer index, type index)` assignment in forward order.
@@ -925,11 +788,52 @@ impl<'a> LevelSearcher<'a> {
         assignment
     }
 
+    /// The transfer table of the block at element index `e`, through the
+    /// block memo in effect: the shared [`SearchCache`] tier when one is
+    /// attached, the searcher-local memo under collapse without one
+    /// (identical blocks within this level — the 48 q|k|v blocks of a
+    /// deep stack — share one table), otherwise a fresh build. All three
+    /// run the same [`block_transfer`](Self::block_transfer), so the
+    /// table is bit-identical whichever path serves it.
+    fn block_table(
+        &self,
+        e: usize,
+        branches: &[Vec<TrainLayer>],
+        entries: Option<&[State]>,
+        fork_elems: u64,
+    ) -> Arc<BlockTransfer> {
+        if let Some(cache) = self.cache {
+            let key = BlockKey::new(
+                branches,
+                &self.scales,
+                entries,
+                fork_elems,
+                self.env,
+                self.ctx,
+                &self.model.config(),
+            );
+            return cache.block_lookup(&key).unwrap_or_else(|| {
+                cache.block_insert(key, self.block_transfer(branches, entries, fork_elems))
+            });
+        }
+        if !self.config.collapse {
+            return Arc::new(self.block_transfer(branches, entries, fork_elems));
+        }
+        let key = self.local_block_key(e, entries, fork_elems);
+        if let Some(hit) = self.local_blocks.borrow().get(&key) {
+            return Arc::clone(hit);
+        }
+        let table = Arc::new(self.block_transfer(branches, entries, fork_elems));
+        self.local_blocks.borrow_mut().insert(key, Arc::clone(&table));
+        table
+    }
+
     /// The full block transfer table: `table[entry][exit]` (one pseudo
-    /// entry when the block opens the network) with assignments recorded
-    /// as branch-major *slots*, position-independent for the memo. Each
-    /// branch's chain DP runs once per entry and is reused across exits;
-    /// the arithmetic per cell is identical to `branch_best`.
+    /// entry when the block opens the network) holds the summed cost of
+    /// every branch's optimal path between the two states (§5.2), with
+    /// assignments recorded as branch-major *slots*, position-independent
+    /// for the memo. Each branch's chain DP runs once per entry and is
+    /// reused across exits.
     fn block_transfer(
         &self,
         branches: &[Vec<TrainLayer>],
@@ -944,9 +848,10 @@ impl<'a> LevelSearcher<'a> {
         // Everything entry-independent is computed once per block, not
         // once per entry: the interior chain transitions, the exit
         // re-layouts of each branch's last layer and the junction
-        // states. The per-entry DP then runs over pure floats. Each
-        // sum below is assembled in the exact order `branch_best`
-        // would produce, so the table stays bitwise identical.
+        // states. The per-entry DP then runs over pure floats, summing
+        // each cell in the order [`exhaustive`](Self::exhaustive)
+        // prices a fixed assignment (entry edge, layer, transitions,
+        // exit re-layout; branches in order).
         let exits: Vec<State> = (0..k).map(|ti| self.junction_state(branches, ti)).collect();
         let pres: Vec<BranchPre> = branches
             .iter()
@@ -997,8 +902,8 @@ impl<'a> LevelSearcher<'a> {
         let k = self.k();
         let exit_elems = self.branch_exit_elems(branch, fork_elems);
         // trans[w*k*k + ti*k + tt]: from window w's first layer at type
-        // tt into its second at type ti (the order `branch_dp`'s loops
-        // visit).
+        // tt into its second at type ti (the order `branch_dp_pre`'s
+        // loops visit).
         let mut trans = self.take_f64();
         for pair in branch.windows(2) {
             let cur = pair[1].index();
@@ -1029,8 +934,10 @@ impl<'a> LevelSearcher<'a> {
         }
     }
 
-    /// [`branch_dp`](Self::branch_dp) over precomputed transitions —
-    /// identical arithmetic, no `edge_cost` evaluations in the loop.
+    /// The entry-dependent chain DP along one branch, over the branch's
+    /// precomputed transitions (no `edge_cost` evaluations in the loop).
+    /// Independent of the exit state, so one DP serves every junction
+    /// exit of the block.
     #[allow(clippy::needless_range_loop)]
     fn branch_dp_pre(
         &self,
@@ -1072,8 +979,9 @@ impl<'a> LevelSearcher<'a> {
         dp
     }
 
-    /// [`branch_finish`](Self::branch_finish) over the precomputed exit
-    /// re-layout row — identical arithmetic.
+    /// The exit-dependent end of one branch: re-layout into the junction
+    /// state `exit` (index `exit_ti`), min over the last layer's type and
+    /// backtrack.
     fn branch_finish_pre(
         &self,
         branch: &[TrainLayer],
@@ -1102,50 +1010,11 @@ impl<'a> LevelSearcher<'a> {
         (best, assignment)
     }
 
-    /// Block cost between an entry state and a junction exit state: the
-    /// sum over branches of each branch's optimal internal path (§5.2).
-    fn block_cost(
-        &self,
-        branches: &[Vec<TrainLayer>],
-        entry: Option<State>,
-        exit: State,
-        fork_elems: u64,
-        forced: Option<&[usize]>,
-    ) -> (f64, Vec<(usize, usize)>) {
-        let mut total = 0.0;
-        let mut assignment = Vec::new();
-        for branch in branches {
-            let exit_elems = self.branch_exit_elems(branch, fork_elems);
-            let (c, a) = match forced {
-                None => self.branch_best(branch, entry, exit, exit_elems),
-                Some(f) => {
-                    if branch.is_empty() {
-                        self.branch_best(branch, entry, exit, exit_elems)
-                    } else {
-                        let types: Vec<usize> =
-                            branch.iter().map(|l| f[l.index()]).collect();
-                        let cost =
-                            self.branch_cost_fixed(branch, &types, entry, exit, exit_elems);
-                        let assignment = branch
-                            .iter()
-                            .zip(&types)
-                            .map(|(l, &ti)| (l.index(), ti))
-                            .collect();
-                        (cost, assignment)
-                    }
-                }
-            };
-            total += c;
-            assignment.extend(a);
-        }
-        (total, assignment)
-    }
-
     /// Runs the dynamic program (Eq. 9) and returns the optimal plan for
     /// this level.
     #[must_use]
     pub fn search(&self) -> SearchOutcome {
-        match self.search_constrained(None, &Budget::unlimited()) {
+        match self.search_budgeted(&Budget::unlimited()) {
             Ok(outcome) => outcome,
             Err(_) => unreachable!("an unlimited budget never stops the DP"),
         }
@@ -1156,74 +1025,21 @@ impl<'a> LevelSearcher<'a> {
     /// every element (the per-row node charges were already paid while
     /// the cost tables were built).
     ///
+    /// Every table is flat and scratch-pooled: the cost and
+    /// producer-state rows ping-pong between two `k`-wide buffers, the
+    /// backpointers live in one step-major `u32` table, and block
+    /// assignments are `(offset, len)` ranges into a shared pool —
+    /// repeated searches on one searcher allocate nothing new in steady
+    /// state, with arithmetic and comparison order identical to the
+    /// nested-`Vec` formulation.
+    ///
     /// # Errors
     ///
     /// The [`StopReason`] when the budget stops the scan; the level is
     /// then all-or-nothing — callers fall back to the data-parallel
     /// baseline for the whole level.
     pub fn search_budgeted(&self, budget: &Budget) -> Result<SearchOutcome, StopReason> {
-        self.search_constrained(None, budget)
-    }
-
-    /// Evaluates a *fixed* per-layer type assignment under the search's
-    /// objective: every layer's type is forced to `plan`'s choice (the
-    /// ratio is re-solved — ratios are a function of the type under this
-    /// searcher's solver), and only the blocks' internal junction states
-    /// remain free. By construction
-    /// `search().cost <= evaluate_plan(p)` for every plan `p`, which the
-    /// random-plan property tests assert.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::Mismatch`] if `plan` has the wrong number of
-    /// layers or uses a type outside this searcher's configured space.
-    pub fn evaluate_plan(&self, plan: &NetworkPlan) -> Result<f64, PlanError> {
-        if plan.len() != self.layers.len() {
-            return Err(PlanError::Mismatch(format!(
-                "plan has {} entries for {} weighted layers",
-                plan.len(),
-                self.layers.len()
-            )));
-        }
-        let forced: Vec<usize> = plan
-            .layers()
-            .iter()
-            .map(|entry| {
-                self.config
-                    .types
-                    .iter()
-                    .position(|&t| t == entry.ptype)
-                    .ok_or_else(|| {
-                        PlanError::Mismatch(format!(
-                            "plan type {:?} is outside the configured search space",
-                            entry.ptype
-                        ))
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        match self.search_constrained(Some(&forced), &Budget::unlimited()) {
-            Ok(outcome) => Ok(outcome.cost),
-            Err(_) => unreachable!("an unlimited budget never stops the DP"),
-        }
-    }
-
-    /// The DP with an optional per-layer forced type assignment, under
-    /// a cooperative budget (checked once per trunk element).
-    ///
-    /// Every table is flat and scratch-pooled: the cost and
-    /// producer-state rows ping-pong between two `k`-wide buffers, the
-    /// backpointers live in one step-major `u32` table
-    /// ([`NO_PREV`]-sentinelled), and block assignments are
-    /// `(offset, len)` ranges into a shared pool — repeated searches on
-    /// one searcher allocate nothing new in steady state, with arithmetic
-    /// and comparison order identical to the nested-`Vec` formulation.
-    fn search_constrained(
-        &self,
-        forced: Option<&[usize]>,
-        budget: &Budget,
-    ) -> Result<SearchOutcome, StopReason> {
         let k = self.k();
-        let allowed = |l: usize, ti: usize| forced.is_none_or(|f| f[l] == ti);
         let mut cur = self.take_f64();
         let mut next = self.take_f64();
         let mut cur_info = self.take_states();
@@ -1250,16 +1066,10 @@ impl<'a> LevelSearcher<'a> {
                 TrainElem::Layer(layer) => {
                     let l = layer.index();
                     for ti in 0..k {
-                        if !allowed(l, ti) {
-                            continue;
-                        }
                         if first {
                             next[ti] = self.cost_of(l, ti);
                         } else {
                             for tt in 0..k {
-                                if cur[tt].is_infinite() {
-                                    continue;
-                                }
                                 let v = cur[tt]
                                     + self.consume_cost(cur_info[tt], l, ti)
                                     + self.cost_of(l, ti);
@@ -1278,115 +1088,33 @@ impl<'a> LevelSearcher<'a> {
                     let fork_elems = self.scaled_fork_elems(branches, fork.size());
                     let range_base = ranges.len();
                     ranges.resize(range_base + k, (0, 0));
-                    // The memoized path is only taken for free searches:
-                    // a forced assignment changes branch costs without
-                    // entering the key, so it always recomputes.
-                    let table = match (self.cache, forced) {
-                        (Some(cache), None) => {
-                            let entries = (!first).then_some(cur_info.as_slice());
-                            let key = BlockKey::new(
-                                branches,
-                                &self.scales,
-                                entries,
-                                fork_elems,
-                                self.env,
-                                self.ctx,
-                                &self.model.config(),
-                            );
-                            Some(cache.block_lookup(&key).unwrap_or_else(|| {
-                                cache.block_insert(
-                                    key,
-                                    self.block_transfer(branches, entries, fork_elems),
-                                )
-                            }))
-                        }
-                        // Collapse without a shared cache: identical
-                        // blocks within this level share one table via
-                        // the searcher-local memo (same value-complete
-                        // key, same table build — bit-identical to both
-                        // the shared-cache and the direct path).
-                        (None, None) if self.config.collapse => {
-                            let entries = (!first).then_some(cur_info.as_slice());
-                            let key = self.local_block_key(e, entries, fork_elems);
-                            let hit = self.local_blocks.borrow().get(&key).cloned();
-                            Some(hit.unwrap_or_else(|| {
-                                let table = std::sync::Arc::new(self.block_transfer(
-                                    branches, entries, fork_elems,
-                                ));
-                                self.local_blocks
-                                    .borrow_mut()
-                                    .insert(key, std::sync::Arc::clone(&table));
-                                table
-                            }))
-                        }
-                        _ => None,
-                    };
-                    // Slot → weighted-layer-index map for memoized
-                    // assignments (branch-major, matching the table).
+                    let entries = (!first).then_some(cur_info.as_slice());
+                    let table = self.block_table(e, branches, entries, fork_elems);
+                    // Slot → weighted-layer-index map for the table's
+                    // assignments (branch-major).
                     slot_layers.clear();
-                    if table.is_some() {
-                        slot_layers
-                            .extend(branches.iter().flatten().map(|l| l.index() as u32));
-                    }
+                    slot_layers.extend(branches.iter().flatten().map(|l| l.index() as u32));
                     // Records exit state `ti`'s winning assignment as a
                     // fresh pool range; superseded candidates leave dead
                     // entries behind (bounded by k·k per block).
-                    let mut record =
-                        |pool: &mut Vec<(u32, u32)>, ti: usize, a: &[(usize, usize)], remap: bool| {
-                            let off = pool.len() as u32;
-                            pool.extend(a.iter().map(|&(s, t)| {
-                                let layer = if remap { slot_layers[s] } else { s as u32 };
-                                (layer, t as u32)
-                            }));
-                            ranges[range_base + ti] = (off, a.len() as u32);
-                        };
+                    let mut record = |pool: &mut Vec<(u32, u32)>, ti: usize, a: &[(usize, usize)]| {
+                        let off = pool.len() as u32;
+                        pool.extend(a.iter().map(|&(s, t)| (slot_layers[s], t as u32)));
+                        ranges[range_base + ti] = (off, a.len() as u32);
+                    };
                     for ti in 0..k {
                         if first {
-                            match &table {
-                                Some(t) => {
-                                    let (c, a) = &t[0][ti];
-                                    next[ti] = *c;
-                                    record(&mut assign_pool, ti, a, true);
-                                }
-                                None => {
-                                    let exit = self.junction_state(branches, ti);
-                                    let (c, a) =
-                                        self.block_cost(branches, None, exit, fork_elems, forced);
-                                    next[ti] = c;
-                                    record(&mut assign_pool, ti, &a, false);
-                                }
-                            }
+                            let (c, a) = &table[0][ti];
+                            next[ti] = *c;
+                            record(&mut assign_pool, ti, a);
                         } else {
                             for tt in 0..k {
-                                if cur[tt].is_infinite() {
-                                    continue;
-                                }
-                                match &table {
-                                    Some(t) => {
-                                        let (c, a) = &t[tt][ti];
-                                        let v = cur[tt] + c;
-                                        if v < next[ti] {
-                                            next[ti] = v;
-                                            back[row + ti] = tt as u32;
-                                            record(&mut assign_pool, ti, a, true);
-                                        }
-                                    }
-                                    None => {
-                                        let exit = self.junction_state(branches, ti);
-                                        let (c, a) = self.block_cost(
-                                            branches,
-                                            Some(cur_info[tt]),
-                                            exit,
-                                            fork_elems,
-                                            forced,
-                                        );
-                                        let v = cur[tt] + c;
-                                        if v < next[ti] {
-                                            next[ti] = v;
-                                            back[row + ti] = tt as u32;
-                                            record(&mut assign_pool, ti, &a, false);
-                                        }
-                                    }
+                                let (c, a) = &table[tt][ti];
+                                let v = cur[tt] + c;
+                                if v < next[ti] {
+                                    next[ti] = v;
+                                    back[row + ti] = tt as u32;
+                                    record(&mut assign_pool, ti, a);
                                 }
                             }
                         }
@@ -1676,17 +1404,23 @@ mod tests {
     fn dp_matches_exhaustive_with_blocks() {
         let env = hetero_env();
         let model = CostModel::new(CostConfig::default());
-        let config = SearchConfig::accpar();
         let view = res_view();
-        let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
-        let dp = s.search();
-        let brute = s.exhaustive();
-        assert!(
-            (dp.cost - brute.cost).abs() / brute.cost < 1e-12,
-            "dp {} vs brute {}",
-            dp.cost,
-            brute.cost
-        );
+        // Collapse off builds every block table without any memo.
+        for collapse in [true, false] {
+            let config = SearchConfig {
+                collapse,
+                ..SearchConfig::accpar()
+            };
+            let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
+            let dp = s.search();
+            let brute = s.exhaustive();
+            assert!(
+                (dp.cost - brute.cost).abs() / brute.cost < 1e-12,
+                "collapse {collapse}: dp {} vs brute {}",
+                dp.cost,
+                brute.cost
+            );
+        }
     }
 
     #[test]
@@ -1698,7 +1432,6 @@ mod tests {
         // 3^layers space.
         let env = hetero_env();
         let model = CostModel::new(CostConfig::default());
-        let config = SearchConfig::accpar();
         let view = NetworkBuilder::new("enc", FeatureShape::seq(4, 16, 32))
             .multi_head_attention("attn", 4, 32, 8)
             .linear("ffn_up", 32, 128)
@@ -1708,17 +1441,23 @@ mod tests {
             .unwrap()
             .train_view()
             .unwrap();
-        let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
-        let dp = s.search();
-        let brute = s.exhaustive();
-        assert!(
-            (dp.cost - brute.cost).abs() / brute.cost < 1e-12,
-            "dp {} vs brute {}",
-            dp.cost,
-            brute.cost
-        );
-        assert_eq!(dp.plan, brute.plan);
-        assert_eq!(dp.plan.len(), 6);
+        for collapse in [true, false] {
+            let config = SearchConfig {
+                collapse,
+                ..SearchConfig::accpar()
+            };
+            let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
+            let dp = s.search();
+            let brute = s.exhaustive();
+            assert!(
+                (dp.cost - brute.cost).abs() / brute.cost < 1e-12,
+                "collapse {collapse}: dp {} vs brute {}",
+                dp.cost,
+                brute.cost
+            );
+            assert_eq!(dp.plan, brute.plan, "collapse {collapse}");
+            assert_eq!(dp.plan.len(), 6);
+        }
     }
 
     #[test]
@@ -1775,6 +1514,14 @@ mod tests {
         let view = fc_view(8, &[4, 4]);
         let err = LevelSearcher::new(&view, &model, &config, &env, None).unwrap_err();
         assert_eq!(err, PlanError::EmptySearchSpace);
+
+        // A duplicate type would widen the set past one cost-cache row.
+        let config = SearchConfig {
+            types: vec![PartitionType::TypeI, PartitionType::TypeI, PartitionType::TypeII].into(),
+            ..config
+        };
+        let err = LevelSearcher::new(&view, &model, &config, &env, None).unwrap_err();
+        assert!(matches!(err, PlanError::Config(_)), "{err}");
     }
 
     #[test]
@@ -1819,74 +1566,11 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_plan_matches_search_on_its_own_result() {
-        let env = hetero_env();
-        let model = CostModel::new(CostConfig::default());
-        let config = SearchConfig::accpar();
-        for view in [fc_view(64, &[100, 200, 50]), res_view()] {
-            let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
-            let outcome = s.search();
-            let evaluated = s.evaluate_plan(&outcome.plan).unwrap();
-            assert!(
-                (evaluated - outcome.cost).abs() <= 1e-12 * outcome.cost,
-                "search {} vs evaluate {}",
-                outcome.cost,
-                evaluated
-            );
-        }
-    }
-
-    #[test]
-    fn search_is_no_worse_than_any_random_plan() {
-        use accpar_partition::NetworkPlan;
-        let env = hetero_env();
-        let model = CostModel::new(CostConfig::default());
-        let config = SearchConfig::accpar();
-        for view in [fc_view(128, &[512, 256, 384, 128]), res_view()] {
-            let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
-            let best = s.search().cost;
-            // A deterministic pseudo-random sweep over assignments.
-            let n = view.weighted_len();
-            for seed in 0..81usize {
-                let plan: NetworkPlan = (0..n)
-                    .map(|l| {
-                        let t = PartitionType::ALL[(seed / 3usize.pow((l % 4) as u32)) % 3];
-                        LayerPlan::new(t, Ratio::EQUAL)
-                    })
-                    .collect();
-                let cost = s.evaluate_plan(&plan).unwrap();
-                assert!(
-                    best <= cost * (1.0 + 1e-12),
-                    "seed {seed}: search {best} vs plan {cost}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn evaluate_plan_rejects_types_outside_the_space() {
-        let env = hetero_env();
-        let model = CostModel::new(CostConfig::hypar());
-        let config = SearchConfig::hypar(); // no Type-III
-        let view = fc_view(8, &[4, 4]);
-        let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
-        let plan = NetworkPlan::uniform(1, LayerPlan::new(PartitionType::TypeIII, Ratio::EQUAL));
-        let err = s.evaluate_plan(&plan).unwrap_err();
-        assert!(matches!(err, PlanError::Mismatch(_)), "{err}");
-        assert!(err.to_string().contains("search space"), "{err}");
-    }
-
-    #[test]
-    fn evaluate_plan_rejects_wrong_layer_counts_and_bad_scales() {
+    fn searcher_rejects_bad_scales() {
         let env = hetero_env();
         let model = CostModel::new(CostConfig::default());
         let config = SearchConfig::accpar();
         let view = fc_view(8, &[4, 4, 4]);
-        let s = LevelSearcher::new(&view, &model, &config, &env, None).unwrap();
-        let short = NetworkPlan::uniform(1, LayerPlan::data_parallel());
-        let err = s.evaluate_plan(&short).unwrap_err();
-        assert!(matches!(err, PlanError::Mismatch(_)), "{err}");
-
         let bad_scales = vec![ShardScales::full(); 1];
         let err =
             LevelSearcher::new(&view, &model, &config, &env, Some(&bad_scales)).unwrap_err();

@@ -1,4 +1,4 @@
-//! Memoized per-(layer, type) ratio/cost tables.
+//! Memoized per-layer ratio/cost rows.
 //!
 //! Networks repeat themselves: VGG nets stack shape-identical conv
 //! layers, ResNets stack identical bottleneck blocks, and the
@@ -6,7 +6,9 @@
 //! scales across sibling subtrees and replan candidates. The ratio
 //! solve (Eq. 10) and the scalarized layer cost (Eq. 7 + Eq. 8) are
 //! pure functions of the layer's geometry and the evaluation context,
-//! so [`CostCache`] memoizes them under a **canonical key**:
+//! so [`CostCache`] memoizes them, one *row* per layer — every
+//! admissible type's `(ratio, cost)` cell at once — under a **canonical
+//! key**:
 //!
 //! * [`LayerSig`] — the layer's geometry (kind/window, `D_i`, `D_o`,
 //!   feature-map and kernel shapes) plus whether the model skips this
@@ -15,7 +17,8 @@
 //!   must share one entry); the one position-dependent cost rule —
 //!   [`CostConfig::skip_first_backward`] applies only to layer 0 — is
 //!   folded into the `skip_backward` bit instead.
-//! * the [`PartitionType`] under evaluation;
+//! * the admissible [`PartitionType`]s, in evaluation order (at most
+//!   [`ROW_WIDTH`]: the full AccPar space, each type once);
 //! * [`ShardScales`] and [`PairEnv`], canonicalized via [`f64::to_bits`]
 //!   (bit-exact: two environments hash alike iff every capability and
 //!   link bandwidth is bitwise identical — a `FaultModel`-degraded tree
@@ -133,16 +136,6 @@ impl CtxKey {
     }
 }
 
-/// Full key of one memoized (layer, type) table cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CellKey {
-    sig: LayerSig,
-    ptype: PartitionType,
-    scales: [u64; 4],
-    env: [u64; 10],
-    ctx: CtxKey,
-}
-
 /// Full key of one memoized layer *row*: every admissible type's cell at
 /// once. Rows are keyed and locked once per layer instead of once per
 /// cell, which matters when the cells themselves are sub-microsecond.
@@ -182,8 +175,8 @@ pub fn layer_ratio_cost(
     (ratio, cost)
 }
 
-/// A concurrent memo of (layer, type) → (ratio, scalar cost) table
-/// cells (see the [module docs](self)).
+/// A concurrent memo of layer rows: (layer, type set) → one (ratio,
+/// scalar cost) cell per type (see the [module docs](self)).
 ///
 /// Thread-safe: lookups take a [`Mutex`]; the computation itself runs
 /// outside the lock, so concurrent misses of the same key may compute
@@ -191,7 +184,6 @@ pub fn layer_ratio_cost(
 /// bit-exactly in the key).
 #[derive(Debug, Default)]
 pub struct CostCache {
-    cells: Mutex<FxHashMap<CellKey, (Ratio, f64)>>,
     rows: Mutex<FxHashMap<RowKey, Row>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -251,59 +243,22 @@ impl CostCache {
         }
     }
 
-    /// The memoized version of [`layer_ratio_cost`]. The `skip_backward`
-    /// position rule is resolved through [`LayerSig::of`] so the first
-    /// layer under [`CostConfig::skip_first_backward`] gets its own
-    /// entry while shape-identical interior layers share one.
-    #[must_use]
-    pub fn layer_ratio_cost(
-        &self,
-        model: &CostModel,
-        solver: &RatioSolver,
-        layer: &TrainLayer,
-        ptype: PartitionType,
-        env: &PairEnv,
-        scales: ShardScales,
-    ) -> (Ratio, f64) {
-        let config = model.config();
-        let key = CellKey {
-            sig: LayerSig::of(layer, &config),
-            ptype,
-            scales: scales_bits(scales),
-            env: env_bits(env),
-            ctx: CtxKey::of(&config, solver),
-        };
-        if let Some(&v) = self.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = self.obs.get() {
-                o.hits.inc();
-            }
-            return v;
-        }
-        let v = {
-            let _t = self.obs.get().map(|o| o.solve_ns.timer());
-            layer_ratio_cost(model, solver, layer, ptype, env, scales)
-        };
-        self.lock().insert(key, v);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = self.obs.get() {
-            o.misses.inc();
-            o.eval(ptype).inc();
-        }
-        v
-    }
-
-    /// The row-granular version of [`CostCache::layer_ratio_cost`]: all
-    /// of `types`' cells for one layer under a single key build and a
+    /// The memoized version of [`layer_ratio_cost`] for one layer's
+    /// whole row: all of `types`' cells under a single key build and a
     /// single map access. The first `types.len()` cells of the returned
     /// [`Row`] hold one `(ratio, cost)` per type, in `types` order,
     /// bitwise identical to [`layer_ratio_cost`]; the rest is padding.
+    /// Hit/miss counters advance by the number of cells served. The
+    /// `skip_backward` position rule is resolved through
+    /// [`LayerSig::of`], so the first layer under
+    /// [`CostConfig::skip_first_backward`] gets its own entry while
+    /// shape-identical interior layers share one.
     ///
-    /// Rows and single cells are memoized independently (a row hit does
-    /// not consult the cell map and vice versa); hit/miss counters
-    /// advance by the number of cells served either way. Returns `None`
-    /// for type sets wider than the full AccPar space ([`ROW_WIDTH`]) —
-    /// fall back to per-cell lookups.
+    /// # Panics
+    ///
+    /// When `types` holds more than [`ROW_WIDTH`] types — more than the
+    /// full AccPar space, which only a duplicate type can cause (the
+    /// level searcher rejects those up front).
     #[must_use]
     pub fn layer_row(
         &self,
@@ -313,10 +268,12 @@ impl CostCache {
         types: &[PartitionType],
         env: &PairEnv,
         scales: ShardScales,
-    ) -> Option<Row> {
-        if types.len() > ROW_WIDTH {
-            return None;
-        }
+    ) -> Row {
+        assert!(
+            types.len() <= ROW_WIDTH,
+            "{} types do not fit a {ROW_WIDTH}-wide row",
+            types.len()
+        );
         let config = model.config();
         let mut padded = [None; ROW_WIDTH];
         for (slot, &t) in padded.iter_mut().zip(types) {
@@ -329,28 +286,20 @@ impl CostCache {
             env: env_bits(env),
             ctx: CtxKey::of(&config, solver),
         };
-        let cached = self
-            .rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-            .copied();
+        let cached = self.lock().get(&key).copied();
         if let Some(row) = cached {
             self.hits.fetch_add(types.len() as u64, Ordering::Relaxed);
             if let Some(o) = self.obs.get() {
                 o.hits.add(types.len() as u64);
             }
-            return Some(row);
+            return row;
         }
         let mut row: Row = [(Ratio::EQUAL, 0.0); ROW_WIDTH];
         for (cell, &t) in row.iter_mut().zip(types) {
             let _t = self.obs.get().map(|o| o.solve_ns.timer());
             *cell = layer_ratio_cost(model, solver, layer, t, env, scales);
         }
-        self.rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, row);
+        self.lock().insert(key, row);
         self.misses.fetch_add(types.len() as u64, Ordering::Relaxed);
         if let Some(o) = self.obs.get() {
             o.misses.add(types.len() as u64);
@@ -358,11 +307,11 @@ impl CostCache {
                 o.eval(t).inc();
             }
         }
-        Some(row)
+        row
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<CellKey, (Ratio, f64)>> {
-        self.cells.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<RowKey, Row>> {
+        self.rows.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Number of lookups answered from the memo.
@@ -377,7 +326,7 @@ impl CostCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Distinct cells currently memoized.
+    /// Distinct rows currently memoized.
     #[must_use]
     pub fn len(&self) -> usize {
         self.lock().len()
@@ -430,6 +379,20 @@ mod tests {
             .collect()
     }
 
+    /// One cell through the row memo: `t`'s `(ratio, cost)` from a
+    /// single-type row.
+    fn cell(
+        cache: &CostCache,
+        model: &CostModel,
+        solver: &RatioSolver,
+        layer: &TrainLayer,
+        t: PartitionType,
+        env: &PairEnv,
+        scales: ShardScales,
+    ) -> (Ratio, f64) {
+        cache.layer_row(model, solver, layer, &[t], env, scales)[0]
+    }
+
     #[test]
     fn cached_values_match_the_uncached_computation_bitwise() {
         let model = CostModel::new(CostConfig::default());
@@ -437,12 +400,22 @@ mod tests {
         let env = hetero_env();
         let cache = CostCache::new();
         for layer in &layers() {
-            for t in PartitionType::ALL {
-                let fresh = layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-                let cached =
-                    cache.layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-                assert_eq!(fresh.0.value().to_bits(), cached.0.value().to_bits());
-                assert_eq!(fresh.1.to_bits(), cached.1.to_bits());
+            // Twice: the miss computes, the hit replays the stored row.
+            for _ in 0..2 {
+                let row = cache.layer_row(
+                    &model,
+                    &solver,
+                    layer,
+                    &PartitionType::ALL,
+                    &env,
+                    ShardScales::full(),
+                );
+                for (t, cached) in PartitionType::ALL.into_iter().zip(row) {
+                    let fresh =
+                        layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
+                    assert_eq!(fresh.0.value().to_bits(), cached.0.value().to_bits());
+                    assert_eq!(fresh.1.to_bits(), cached.1.to_bits());
+                }
             }
         }
     }
@@ -455,15 +428,35 @@ mod tests {
         let cache = CostCache::new();
         let layers = layers();
         for layer in &layers {
-            for t in PartitionType::ALL {
-                let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-            }
+            let _ = cache.layer_row(
+                &model,
+                &solver,
+                layer,
+                &PartitionType::ALL,
+                &env,
+                ShardScales::full(),
+            );
         }
-        // c1 and c2 share signatures; c3 differs: 2 × 3 types distinct.
-        assert_eq!(cache.len(), 6);
+        // c1 and c2 share signatures; c3 differs: 2 rows of 3 cells.
+        assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 6);
         assert_eq!(cache.hits(), 3);
         assert!((cache.hit_rate() - 3.0 / 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn rows_wider_than_the_type_space_are_refused() {
+        let model = CostModel::new(CostConfig::default());
+        let t = PartitionType::TypeI;
+        let _ = CostCache::new().layer_row(
+            &model,
+            &RatioSolver::default(),
+            &layers()[0],
+            &[t, t, t, t],
+            &hetero_env(),
+            ShardScales::full(),
+        );
     }
 
     #[test]
@@ -490,8 +483,8 @@ mod tests {
             .collect();
         // fc1 (index 0, backward skipped) must not alias fc2.
         let t = PartitionType::TypeI;
-        let c1 = cache.layer_ratio_cost(&model, &solver, &layers[0], t, &env, ShardScales::full());
-        let c2 = cache.layer_ratio_cost(&model, &solver, &layers[1], t, &env, ShardScales::full());
+        let c1 = cell(&cache, &model, &solver, &layers[0], t, &env, ShardScales::full());
+        let c2 = cell(&cache, &model, &solver, &layers[1], t, &env, ShardScales::full());
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 0);
         assert!(c1.1 <= c2.1, "skipping a phase can never cost more");
@@ -526,25 +519,13 @@ mod tests {
             flops: 0.5,
         };
         let solver = RatioSolver::default();
-        let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &env, ShardScales::full());
-        let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &env, half);
-        let _ = cache.layer_ratio_cost(&model, &solver, layer, t, &degraded, ShardScales::full());
-        let _ = cache.layer_ratio_cost(
-            &model,
-            &solver,
-            layer,
-            t,
-            &env,
-            ShardScales::full(),
-        );
-        let _ = cache.layer_ratio_cost(
-            &model,
-            &RatioSolver::Fixed(Ratio::EQUAL),
-            layer,
-            t,
-            &env,
-            ShardScales::full(),
-        );
+        let full = ShardScales::full();
+        let _ = cell(&cache, &model, &solver, layer, t, &env, full);
+        let _ = cell(&cache, &model, &solver, layer, t, &env, half);
+        let _ = cell(&cache, &model, &solver, layer, t, &degraded, full);
+        let _ = cell(&cache, &model, &solver, layer, t, &env, full);
+        let fixed = RatioSolver::Fixed(Ratio::EQUAL);
+        let _ = cell(&cache, &model, &fixed, layer, t, &env, full);
         assert_eq!(cache.misses(), 4, "scales, env and solver all key");
         assert_eq!(cache.hits(), 1);
     }

@@ -253,17 +253,19 @@ fn fault_replans_are_bit_identical_under_collapse() {
     assert_eq!(off.deltas, on.deltas);
 }
 
-/// A fault splits exactly the equivalence classes of the levels it
-/// touches. The class key folds in the pair environment, so on the
-/// degraded tree every layer key of a touched level moves (the level's
-/// rows may no longer be shared with the healthy run), while an
-/// untouched level's keys are unchanged — its memoized rows stay valid.
-/// And the replan adopting those re-split classes is never worse than
-/// the stale plan on the degraded hardware.
+/// A fault re-plans exactly the levels it touches. The level memo keys
+/// a level by the view, its pair environment and its shard scales, so
+/// on the degraded tree a level whose environment the fault changed
+/// misses the memo, while a level the fault cannot see hits the entry
+/// its healthy twin left behind. And the replan adopting those levels
+/// is never worse than the stale plan on the degraded hardware.
 #[test]
 fn fault_replan_splits_only_touched_classes() {
-    use accpar::core::{level_class_keys, SearchConfig};
-    use accpar::cost::PairEnv;
+    use accpar::core::hierarchy::plan_node_budgeted;
+    use accpar::core::{SearchCache, SearchConfig};
+    use accpar::hw::GroupNode;
+    use accpar::obs::Obs;
+    use accpar::runtime::Pool;
 
     let network = zoo::bert_base(8, 64).expect("zoo network");
     let view = network.train_view().expect("train view");
@@ -276,31 +278,56 @@ fn fault_replan_splits_only_touched_classes() {
 
     let model = CostModel::new(CostConfig::default());
     let config = SearchConfig::accpar();
-    let keys_at = |node: &accpar::hw::GroupNode| {
-        let env = PairEnv::from_node(node).expect("internal node");
-        level_class_keys(&view, &model, &config, &env, None)
+    let cache = SearchCache::new();
+    // Plans the levels at and below `node` at full scales through the
+    // shared memo; returns the (level hits, level misses) it caused.
+    let plan_at = |node: &GroupNode| {
+        let before = cache.stats();
+        plan_node_budgeted(
+            &view,
+            node,
+            &model,
+            &config,
+            None,
+            Pool::serial(),
+            Some(&cache),
+            &Obs::off(),
+            None,
+            &Budget::unlimited(),
+        )
+        .expect("levels plan");
+        let after = cache.stats();
+        (
+            after.level_hits - before.level_hits,
+            after.level_misses - before.level_misses,
+        )
     };
 
     let (left, right) = tree.root().children().expect("two levels");
     let (dleft, dright) = degraded.root().children().expect("two levels");
-    // Touched levels: the root (its left group lost compute) and the
-    // left child (its own left leaf slowed). Every layer's class key
-    // moves — the environment is part of the key.
-    for (nominal, faulted, what) in [
-        (keys_at(tree.root()), keys_at(degraded.root()), "root"),
-        (keys_at(left), keys_at(dleft), "touched child"),
-    ] {
-        assert_eq!(nominal.len(), faulted.len());
-        assert!(
-            nominal.iter().zip(&faulted).all(|(a, b)| a != b),
-            "{what}: a fault-touched level must re-split its classes"
-        );
-    }
-    // Untouched level: bit-for-bit the same keys, so nothing re-splits.
+    // The children's own children are leaves, so each child is one level.
+    plan_at(right);
     assert_eq!(
-        keys_at(right),
-        keys_at(dright),
-        "a level the fault cannot see must keep its classes"
+        plan_at(dright),
+        (1, 0),
+        "a level the fault cannot see must hit its healthy twin"
+    );
+    plan_at(left);
+    assert_eq!(
+        plan_at(dleft),
+        (0, 1),
+        "the touched child must re-plan its level"
+    );
+    // The root walk covers the root and both children. The degraded
+    // left child always misses; had the degraded root hit, the right
+    // child would see the healthy root's scales and hit as well, so a
+    // second miss means the root itself missed.
+    plan_at(tree.root());
+    let (hits, misses) = plan_at(degraded.root());
+    assert_eq!(hits + misses, 3);
+    assert!(
+        misses >= 2,
+        "the touched root must re-plan its level ({hits} hits, {misses} misses)"
     );
 
     // And the adopted plan is never worse than the stale one.

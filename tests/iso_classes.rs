@@ -7,15 +7,19 @@
 //! fault-degraded pair environment) and asserts no false merge, with a
 //! control layer proving the rest of the key stayed put.
 //!
-//! Cross-network comparisons go through
-//! [`accpar::core::level_class_keys`] — the value-complete per-layer
-//! key the collapsed search shares rows under. Within-view structure
-//! uses [`accpar::dnn::iso::IsoClasses`] directly.
+//! Cross-network comparisons go through [`class_keys`] — a per-layer
+//! key composed from the public pieces the collapsed search shares rows
+//! under. Within-view structure uses [`accpar::dnn::iso::IsoClasses`]
+//! directly.
 
-use accpar::core::{level_class_keys, SearchConfig};
+use accpar::cost::cache::{env_bits, scales_bits, FxHasher};
+use accpar::cost::LayerSig;
 use accpar::dnn::iso::IsoClasses;
+use accpar::dnn::TrainView;
 use accpar::hw::GroupCaps;
+use accpar::partition::ShardScales;
 use accpar::prelude::*;
+use std::hash::{Hash, Hasher};
 
 mod common;
 
@@ -32,16 +36,38 @@ fn test_env() -> PairEnv {
     )
 }
 
-/// `level_class_keys` for a network under the default model/config.
+/// The per-layer equivalence key of one level, in weighted-layer order:
+/// two layers get equal keys exactly when the collapsed search could
+/// share a cost-table row between them — same structural class
+/// ([`IsoClasses`]: kind, shapes, meta-dims, attention stage, fan-in
+/// context), same [`LayerSig`] and head count, same shard-scale bits
+/// (the within-level collapse refinement) and same pair-environment
+/// bits (the row memo's key). Every network here plans under the
+/// default cost configuration and type set, so the context is constant
+/// and left out.
+fn class_keys(view: &TrainView, env: &PairEnv, scales: &[ShardScales]) -> Vec<u64> {
+    let iso = IsoClasses::of(view);
+    let config = CostConfig::default();
+    let mut layers: Vec<_> = view.layers().collect();
+    layers.sort_by_key(|l| l.index());
+    layers
+        .iter()
+        .map(|l| {
+            let mut h = FxHasher::default();
+            iso.layer_class(l.index()).hash(&mut h);
+            LayerSig::of(l, &config).hash(&mut h);
+            l.heads().hash(&mut h);
+            scales_bits(scales[l.index()]).hash(&mut h);
+            env_bits(env).hash(&mut h);
+            h.finish()
+        })
+        .collect()
+}
+
+/// [`class_keys`] for a network at full shard scales.
 fn keys_of(network: &Network, env: &PairEnv) -> Vec<u64> {
     let view = network.train_view().expect("train view");
-    level_class_keys(
-        &view,
-        &CostModel::new(CostConfig::default()),
-        &SearchConfig::accpar(),
-        env,
-        None,
-    )
+    class_keys(&view, env, &vec![ShardScales::full(); view.weighted_len()])
 }
 
 /// An attention network with a lead projection (so no attention layer
@@ -169,12 +195,10 @@ fn shard_scales_split_exactly_the_scaled_layer() {
     let network = common::mlp(8, &[64, 64, 64, 64]);
     let view = network.train_view().expect("train view");
     let env = test_env();
-    let model = CostModel::new(CostConfig::default());
-    let config = SearchConfig::accpar();
-    let full = level_class_keys(&view, &model, &config, &env, None);
-    let mut scales = vec![accpar::partition::ShardScales::full(); view.weighted_len()];
+    let mut scales = vec![ShardScales::full(); view.weighted_len()];
+    let full = class_keys(&view, &env, &scales);
     scales[1] = scales[1].shrink(PartitionType::TypeI, 0.5);
-    let shrunk = level_class_keys(&view, &model, &config, &env, Some(&scales));
+    let shrunk = class_keys(&view, &env, &scales);
     assert_eq!(full[0], shrunk[0]);
     assert_ne!(full[1], shrunk[1], "the shrunken shard must re-key");
     assert_eq!(full[2], shrunk[2]);

@@ -223,6 +223,27 @@ fn plan_all_honours_the_builder_budget() {
     }
 }
 
+/// `Planner::replan` runs its degraded search under a fresh copy of the
+/// builder's budget, as `plan` does: with a zero node cap the replanned
+/// tree is the data-parallel fallback, not a full search.
+#[test]
+fn replan_honours_the_builder_budget() {
+    let network = zoo::vgg16(128).unwrap();
+    let array = AcceleratorArray::heterogeneous_tpu(2, 2);
+    let faults = FaultModel::new().slow_leaf(0, 0.5).unwrap();
+    for threads in [1, 2] {
+        let planner = Planner::builder(&network, &array)
+            .threads(threads)
+            .max_nodes(0)
+            .build()
+            .unwrap();
+        let planned = planner.plan(Strategy::AccPar).unwrap();
+        let outcome = planner.replan(&planned, &faults).unwrap();
+        let dp = planner.plan(Strategy::DataParallel).unwrap();
+        assert_eq!(&outcome.plan, dp.plan(), "a zero budget solves nothing");
+    }
+}
+
 #[test]
 fn plan_quality_is_monotone_in_the_node_budget() {
     // A seeded random MLP: as the node budget grows, the solved
